@@ -3,16 +3,17 @@ shears over S-integer rings, integral point generation on the
 factorization varieties, and degree-bounded density certificates.
 
 All arithmetic is exact: ring elements are (a + b*sqrt(d))/r with Python
-integers, matrices live over those elements, and the linear algebra is
-fraction-free. There is no floating point anywhere in the package.
+integers, matrices live over those elements, and every rank and kernel
+is certified exactly: full rank modulo a prime is a proof, anything less
+is verified against every row, with an exact fraction-free fallback.
+There is no floating point anywhere in the package.
 """
 
 from .continuants import (continuant, membership_residuals, vk_membership,
                           word_matrix_by_continuants)
-from .density import (density_report, density_witness,
-                      generic_unit_variety_baseline, generic_variety_baseline,
-                      monomial_exponents, monomial_matrix, vanishing_basis,
-                      vanishing_space_dim)
+from .density import (density_report, generic_unit_variety_baseline,
+                      generic_variety_baseline, monomial_exponents,
+                      monomial_matrix, vanishing_basis, vanishing_space_dim)
 from .matrices import (INVOLUTIONS, WORD_SHAPES, Mat2, Word, elem, identity,
                        involution, letter_kind, matrix_from_json,
                        matrix_to_json, t_matrix, word_from_json, word_to_json,
@@ -38,7 +39,7 @@ __all__ = [
     "RingMismatchError", "UnitsResult", "Word",
     "a1_families", "act_a0", "act_v", "canonical_associate", "congruent_mod",
     "continuant", "convert_shape", "coordinate_box", "density_report",
-    "density_witness", "elem", "enumerate_points_bounded", "factor_euclid",
+    "elem", "enumerate_points_bounded", "factor_euclid",
     "fiber_lift", "fundamental_unit", "generic_unit_variety_baseline",
     "generic_variety_baseline", "identity", "involution", "letter_kind",
     "make_ring", "matrix_from_json", "matrix_to_json", "membership_residuals",

@@ -139,17 +139,6 @@ def cmd_enum(args, out) -> int:
     return EXIT_OK if points else EXIT_EMPTY
 
 
-def _random_unit(ring, rng):
-    u = ring.one
-    for g in ring.unit_generators():
-        if g == -1:
-            if rng.randint(0, 1):
-                u = -u
-        else:
-            u = u * g ** rng.randint(-5, 5)
-    return u
-
-
 def cmd_density(args, out) -> int:
     ring = make_ring(args.ring)
     if args.k is None:
@@ -173,7 +162,7 @@ def cmd_density(args, out) -> int:
     else:
         rng = random.Random(args.seed)
         points = [unit_product_points(ring, k,
-                                      [_random_unit(ring, rng)
+                                      [ring.random_unit(rng)
                                        for _ in range(k - 1)])
                   for _ in range(args.count)]
         baseline = generic_unit_variety_baseline(ring, k, degree,

@@ -178,6 +178,19 @@ class Ring:
         gens.append(RElem(self, -1))
         return tuple(gens)
 
+    def random_unit(self, rng) -> RElem:
+        """Pseudorandom unit: each generator of infinite order raised to
+        rng.randint(-5, 5), in generator order, then the sign from
+        rng.randint(0, 1)."""
+        u = self.one
+        for g in self.unit_generators():
+            if g == -1:
+                if rng.randint(0, 1):
+                    u = -u
+            else:
+                u = u * g ** rng.randint(-5, 5)
+        return u
+
     def __str__(self) -> str:
         if self.d is None:
             return "Z" if self.m == 1 else f"Z[1/{self.m}]"

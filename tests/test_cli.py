@@ -195,6 +195,16 @@ def test_density_unit_mode(capsys):
                       "nullity": 1, "baseline": 1, "dense_at_D": True}]
 
 
+def test_density_unit_mode_readme_line(capsys):
+    # the README's unit-product command, pinned byte for byte
+    code = main(["density", "--ring", "Z[1/2]", "--k", "2", "--degree", "2",
+                 "-n", "100"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"k":2,"D":2,"monomials":6,"points":100,"nullity":1,"baseline":1,'
+        '"dense_at_D":true}\n')
+
+
 def test_density_needs_k(capsys):
     code, _, err = run(capsys, "density", "--ring", "Z[1/2]")
     assert code == 1 and "--k" in err

@@ -6,12 +6,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2factor import (
     Mat2,
     PointTuple,
     density_report,
-    density_witness,
     generic_unit_variety_baseline,
     generic_variety_baseline,
     make_ring,
@@ -21,7 +22,7 @@ from sl2factor import (
     vanishing_basis,
     vanishing_space_dim,
 )
-from sl2factor.density import _rank_bareiss
+from sl2factor.density import certified_kernel
 
 
 def els(ring, *vals):
@@ -66,38 +67,138 @@ def test_monomial_matrix_gates(Z):
         monomial_matrix([els(Z, 1, 2), els(Z, 1)], 1)
 
 
-# -- exact rank ---------------------------------------------------------------
+# -- the certified kernel -----------------------------------------------------
 
 
-def gauss_rank(rows: list[list[Fraction]]) -> int:
-    M = [r[:] for r in rows]
-    rank = 0
-    ncols = len(M[0]) if M else 0
+def gauss_kernel(d, rows, ncols):
+    """Rank, pivots and reduced-row-echelon kernel basis by plain
+    Gauss-Jordan over Q(sqrt(d)), with elements as Fraction pairs
+    (x, y) standing for x + y*w."""
+
+    def mul(u, v):
+        return (u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def inv(u):
+        n = u[0] * u[0] - d * u[1] * u[1]
+        return (u[0] / n, -u[1] / n)
+
+    zero = (Fraction(0), Fraction(0))
+    M = [[(Fraction(x.a, x.r), Fraction(x.b, x.r)) for x in r] for r in rows]
+    pivots = []
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        top = len(pivots)
+        piv = next((i for i in range(top, len(M)) if M[i][c] != zero), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        lead = M[rank][c]
+        M[top], M[piv] = M[piv], M[top]
+        s = inv(M[top][c])
+        M[top] = [mul(x, s) for x in M[top]]
         for i in range(len(M)):
-            if i != rank and M[i][c]:
-                f = M[i][c] / lead
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        rank += 1
-    return rank
+            if i != top and M[i][c] != zero:
+                f = M[i][c]
+                M[i] = [(a[0] - g[0], a[1] - g[1])
+                        for a, g in zip(M[i], (mul(f, b) for b in M[top]))]
+        pivots.append(c)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[free] = (Fraction(1), Fraction(0))
+        for i, c in enumerate(pivots):
+            vec[c] = (-M[i][free][0], -M[i][free][1])
+        basis.append(vec)
+    return len(pivots), tuple(pivots), basis
 
 
-def test_bareiss_matches_gauss(rng, Z):
-    for _ in range(40):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[Z.el(rng.randint(-6, 6)) for _ in range(ncols)]
-                for _ in range(nrows)]
-        # plant a dependent row now and then
-        if nrows >= 2 and rng.random() < 0.5:
-            rows[-1] = [a + b for a, b in zip(rows[0], rows[1 % nrows])]
-        got = _rank_bareiss([r[:] for r in rows], ncols)
-        want = gauss_rank([[Fraction(x.a) for x in r] for r in rows])
-        assert got == want
+def as_pairs(basis):
+    return [[(Fraction(x.a, x.r), Fraction(x.b, x.r)) for x in vec]
+            for vec in basis]
+
+
+def assert_kernel_matches_gauss(rows, ncols):
+    got = certified_kernel(rows, ncols)
+    ring = rows[0][0].ring
+    rank, pivots, basis = gauss_kernel(ring.d or 0, rows, ncols)
+    assert (got.rank, got.pivots) == (rank, pivots)
+    assert as_pairs(got.basis) == basis
+    return got
+
+
+KERNEL_RINGS = ["Z", "Z[1/6]", "Z[sqrt(2)]", "Z[sqrt(3),1/2]"]
+
+
+@st.composite
+def kernel_inputs(draw):
+    ring = make_ring(draw(st.sampled_from(KERNEL_RINGS)))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    small = st.integers(-6, 6)
+    coef_b = small if ring.is_quadratic else st.just(0)
+
+    def element(scale=1):
+        return ring.el(draw(small) * scale, draw(coef_b) * scale,
+                       draw(st.integers(1, 4)))
+
+    # a huge column scale leaves the rank alone but gives kernel entries
+    # too large to reconstruct from one prime
+    scales = [draw(st.sampled_from([1, 1, 1, 3**50])) for _ in range(ncols)]
+    rows = [[element(sc) for sc in scales] for _ in range(nrows)]
+    # plant dependent rows: ring combinations of two earlier rows
+    for i in range(2, nrows):
+        if draw(st.booleans()):
+            a, b = element(), element()
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_kernel_matches_gauss(data):
+    rows, ncols = data
+    got = assert_kernel_matches_gauss(rows, ncols)
+    assert got.method in ("modular", "lifted", "exact")
+    assert (got.method == "modular") == (got.rank == ncols)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_kernel_bad_prime_is_exact(spec):
+    ring = make_ring(spec)
+    p = certified_kernel([[ring.one]], 1).prime
+    assert p.bit_length() == 61
+    w = ring.root if ring.is_quadratic else ring.el(2)
+    # column 0 is divisible by p, so its pivot vanishes mod p: the rank
+    # drops from 3 to 2 there and the lifted kernel fails verification
+    rows = [[ring.el(p) * (w + 1), ring.el(1), w, ring.el(3)],
+            [ring.zero, ring.el(1), ring.el(1), w],
+            [ring.zero, ring.el(2), ring.el(2), w * 2],
+            [ring.el(p), w, ring.zero, ring.el(5)]]
+    got = assert_kernel_matches_gauss(rows, 4)
+    assert got.prime == p and got.method == "exact"
+    assert got.rank == 3 and got.pivots == (0, 1, 2)
+    assert len(got.basis) == 1
+    # the point x = p: rank 1 both ways, but the mod-p kernel (0, 1) is
+    # wrong and must be caught by the exact check
+    basis, _ = vanishing_basis([(ring.el(p),)], 1)
+    assert basis == [[ring.el(-p), ring.one]]
+
+
+def test_kernel_unliftable_entries_are_exact(Z):
+    big = 3**50
+    got = assert_kernel_matches_gauss([[Z.one, Z.el(-big)]], 2)
+    assert got.method == "exact"
+    assert got.basis == [[Z.el(big), Z.one]]
+
+
+def test_kernel_fast_paths(Z, Zr2):
+    full = certified_kernel([[Z.el(1), Z.el(2)], [Z.el(3), Z.el(4)]], 2)
+    assert (full.rank, full.method, full.basis) == (2, "modular", [])
+    w = Zr2.root
+    got = assert_kernel_matches_gauss([[Zr2.one, w, w + 1]], 3)
+    assert got.method == "lifted"
+    assert [[str(x) for x in vec] for vec in got.basis] == [
+        ["(0-1*w)", "1", "0"], ["(-1-1*w)", "0", "1"]]
 
 
 # -- vanishing spaces ---------------------------------------------------------
@@ -110,8 +211,8 @@ def test_single_point_line(Z):
 def test_collinear_points(Z):
     pts = [els(Z, t, t) for t in (0, 1, 2)]
     assert vanishing_space_dim(pts, 1) == 1
-    assert density_witness(pts, 1, baseline=1)
-    assert not density_witness(pts, 1, baseline=0)
+    assert density_report(pts, 1, baseline=1)["dense_at_D"]
+    assert not density_report(pts, 1, baseline=0)["dense_at_D"]
 
 
 def test_parabola_relation(Z):
@@ -151,6 +252,23 @@ def test_quadratic_ring_points(Zr2):
     # the relation is x2 - sqrt(2) x1 up to scale
     assert vec[0] == 0 and vec[2] != 0
     assert vec[1] == -vec[2] * Zr2.el(0, 1)
+
+
+def test_quadratic_basis_pinned(Zr2_half):
+    # reduced-row-echelon bases as the exact elimination gave them
+    R = Zr2_half
+    w, half = R.root, R.el(1, 0, 2)
+    line = [(R.el(t), w * t + half, R.el(1, 1, 2) * t - 3) for t in (1, 2, 3, -1)]
+    basis, exps = vanishing_basis(line, 1)
+    assert exps == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert [[str(x) for x in vec] for vec in basis] == [
+        ["-1/2", "(0-1*w)", "1", "0"], ["3", "(-1-1*w)/2", "0", "1"]]
+    conic = [(R.el(t) * half, w * t * t / 2 + R.el(1, -1)) for t in range(-3, 4)]
+    basis, _ = vanishing_basis(conic, 2)
+    assert [[str(x) for x in vec] for vec in basis] == [
+        ["(-2+1*w)/4", "0", "(0-1*w)/4", "1", "0", "0"]]
+    rows, exps = monomial_matrix(conic, 2)
+    assert certified_kernel(rows, len(exps)).method == "lifted"
 
 
 def test_vanishing_gates(Z):

@@ -1,6 +1,7 @@
 """Ring construction, exact element arithmetic, serialization, units."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,20 @@ def test_congruent_mod(Z, Z_half, Zr2):
     assert congruent_mod(Zr2.el(3, 2), 1, Zr2.el(2))
     with pytest.raises(ZeroDivisionError):
         congruent_mod(Z.el(1), 1, Z.el(0))
+
+
+def test_random_unit_stream_pinned():
+    # the sampler behind both the CLI's unit-mode points and the unit
+    # baseline; a change here changes seeded density output
+    for spec, want in [
+        ("Z[1/2]", ["1", "2", "1/16", "1"]),
+        ("Z[sqrt(2),1/6]", ["3/8", "(-136+96*w)/81", "(459+324*w)/32",
+                            "(123-87*w)/16"]),
+    ]:
+        ring, rng = make_ring(spec), random.Random(7)
+        units = [ring.random_unit(rng) for _ in range(4)]
+        assert [str(u) for u in units] == want
+        assert all(u.is_unit() for u in units)
 
 
 def test_units_congruent_one_inverted_prime(Z_half):
