@@ -17,7 +17,7 @@ from sl2factor import (
     density_report,
     generic_variety_baseline,
     make_ring,
-    orbit_points,
+    orbit_run,
     pad,
     vanishing_basis,
 )
@@ -48,7 +48,7 @@ def main():
 
     A = Mat2(R.el(2), R.el(3), R.el(3), R.el(5))
     seed = pad(PointTuple("lower", tuple(R.el(1) for _ in range(4))), A, 6)
-    pts = orbit_points(A, seed, 80)
+    pts = orbit_run(A, seed, 80).points
     baseline = generic_variety_baseline(A, 6, 2, 38, 2024)
     report = density_report(pts, 2, baseline=baseline)
     print(f"length-6 variety of {A} over Z[1/2]")

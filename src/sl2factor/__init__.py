@@ -19,11 +19,10 @@ from .matrices import (INVOLUTIONS, WORD_SHAPES, Mat2, Word, elem, identity,
                        matrix_to_json, t_matrix, word_from_json, word_to_json,
                        word_to_matrix)
 from .orbits import (ORBIT_BUDGET, OrbitRecord, OrbitRun, a1_families, act_a0,
-                     act_v, orbit_points, orbit_run, window_modulus)
+                     act_v, orbit_run, window_modulus)
 from .rings import (ORDER_SEARCH_CAP, ParseError, RElem, Ring,
                     RingMismatchError, UnitsResult, canonical_associate,
-                    congruent_mod, fundamental_unit, make_ring,
-                    units_congruent_one)
+                    congruent_mod, make_ring, units_congruent_one)
 from .varieties import (ENUM_HALF_CAP, MINUS_IDENTITY_ENTRIES, BudgetError,
                         HeightBound, K3Solution, MembershipError, PointTuple,
                         convert_shape, coordinate_box,
@@ -40,10 +39,10 @@ __all__ = [
     "a1_families", "act_a0", "act_v", "canonical_associate", "congruent_mod",
     "continuant", "convert_shape", "coordinate_box", "density_report",
     "elem", "enumerate_points_bounded", "factor_euclid",
-    "fiber_lift", "fundamental_unit", "generic_unit_variety_baseline",
+    "fiber_lift", "generic_unit_variety_baseline",
     "generic_variety_baseline", "identity", "involution", "letter_kind",
     "make_ring", "matrix_from_json", "matrix_to_json", "membership_residuals",
-    "monomial_exponents", "monomial_matrix", "orbit_points", "orbit_run",
+    "monomial_exponents", "monomial_matrix", "orbit_run",
     "pad", "point_from_json", "point_to_json", "reverse_point", "solve_k3",
     "t_matrix", "unit_product_points", "units_congruent_one",
     "vanishing_basis", "vanishing_space_dim", "vk_membership",

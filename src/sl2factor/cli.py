@@ -232,8 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="how many points/units to produce (default 10)")
         p.add_argument("--seed", type=int, default=0,
                        help="pseudorandom seed; fixes all sampled values")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; execution is serial")
         p.add_argument("--output",
                        help="write JSON lines here instead of stdout")
         if name == "units":
@@ -251,7 +249,12 @@ def main(argv=None) -> int:
         return EXIT_INVALID if e.code not in (0, None) else 0
     try:
         if args.output:
-            with open(args.output, "w") as out:
+            try:
+                out = open(args.output, "w")
+            except OSError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return EXIT_INVALID
+            with out:
                 return args.func(args, out)
         return args.func(args, sys.stdout)
     except BudgetError as e:

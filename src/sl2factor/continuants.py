@@ -19,17 +19,28 @@ from .matrices import Mat2
 from .rings import RElem, Ring
 
 
-def continuant(ring: Ring, xs: Sequence[RElem]) -> RElem:
-    """K_n evaluated at the n entries of xs (n = 0 gives 1)."""
+def _continuant_pair(ring: Ring, xs: Sequence[RElem]) -> tuple[RElem, RElem]:
+    """(K(xs), K(xs[:-1])) from one pass of the recurrence (n = 0 gives
+    (1, 0), the K_0 and K_(-1) that start it)."""
     prev, cur = ring.zero, ring.one
     for x in xs:
         prev, cur = cur, cur * x + prev
-    return cur
+    return cur, prev
+
+
+def continuant(ring: Ring, xs: Sequence[RElem]) -> RElem:
+    """K_n evaluated at the n entries of xs (n = 0 gives 1)."""
+    return _continuant_pair(ring, xs)[0]
 
 
 def word_matrix_by_continuants(ring: Ring, xs: Sequence[RElem]) -> Mat2:
     """Matrix of the lower-start word with entries xs, assembled from
-    continuants instead of multiplied out."""
+    continuants instead of multiplied out.
+
+    The four continuants come from two passes of the recurrence: one
+    over xs gives K(xs) and K(xs[:-1]), one over xs[1:] gives K(xs[1:])
+    and K(xs[1:-1]).
+    """
     xs = tuple(xs)
     k = len(xs)
     if k == 0:
@@ -37,15 +48,11 @@ def word_matrix_by_continuants(ring: Ring, xs: Sequence[RElem]) -> Mat2:
         return Mat2(one, zero, zero, one)
     if k == 1:
         return Mat2(ring.one, ring.zero, xs[0], ring.one)
+    full, head = _continuant_pair(ring, xs)
+    tail, inner = _continuant_pair(ring, xs[1:])
     if k % 2 == 1:
-        return Mat2(continuant(ring, xs[1:]),
-                    continuant(ring, xs[1:-1]),
-                    continuant(ring, xs),
-                    continuant(ring, xs[:-1]))
-    return Mat2(continuant(ring, xs[1:-1]),
-                continuant(ring, xs[1:]),
-                continuant(ring, xs[:-1]),
-                continuant(ring, xs))
+        return Mat2(tail, inner, full, head)
+    return Mat2(inner, tail, head, full)
 
 
 def membership_residuals(A: Mat2, xs: Sequence[RElem],

@@ -215,10 +215,3 @@ def orbit_run(A: Mat2, seed: PointTuple, n: int, *,
     return OrbitRun(tuple(records), tuple(stalled),
                     exhausted and len(records) < n)
 
-
-def orbit_points(A: Mat2, P: PointTuple, n: int, *,
-                 units_per_window: int = 2,
-                 budget: int = ORBIT_BUDGET) -> list[PointTuple]:
-    """Up to n distinct verified integral points reachable from P."""
-    return orbit_run(A, P, n, units_per_window=units_per_window,
-                     budget=budget).points

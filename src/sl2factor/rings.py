@@ -4,10 +4,14 @@ orders Z[sqrt(d)], each optionally with a set of inverted rational primes.
 Every element is stored as (a + b*sqrt(d))/r with arbitrary-precision
 integers a, b, r, normalized so that r > 0 and gcd(a, b, r) = 1.  The
 representation is unique, so equality of elements is equality of the
-stored fields.  The same value type also represents arbitrary elements
-of the fraction field (denominators not supported on the inverted
-primes); `is_integral` tells the two apart, and exact division back
-into the ring goes through `div_exact`.
+stored fields.  Elements are kept in this normal form: the public
+constructor validates and normalizes whatever it is given, while the
+arithmetic operators build results from fields of normal operands and
+reduce only when a denominator other than 1 appears.  The same value
+type also represents arbitrary elements of the fraction field
+(denominators not supported on the inverted primes); `is_integral`
+tells the two apart, and exact division back into the ring goes
+through `div_exact`.
 
 Canonical string form (whitespace-free, round-trips bit for bit):
 
@@ -67,15 +71,16 @@ def _is_squarefree(n: int) -> bool:
 
 
 def _strip_part(n: int, m: int) -> int:
-    """Divide out of |n| every prime factor it shares with m."""
+    """Divide out of |n| every prime factor it shares with m.
+
+    Every prime exponent in n is below n.bit_length(), so m to that power
+    holds each shared prime at least as often as n does, and one gcd
+    finds the whole m-part of n.
+    """
     n = abs(n)
     if n == 0:
         return 0
-    g = gcd(n, m)
-    while g > 1:
-        n //= g
-        g = gcd(n, m)
-    return n
+    return n // gcd(n, pow(m, n.bit_length(), n))
 
 
 @dataclass(frozen=True)
@@ -113,11 +118,11 @@ class Ring:
 
     @property
     def zero(self) -> RElem:
-        return RElem(self, 0)
+        return _normal(self, 0, 0, 1)
 
     @property
     def one(self) -> RElem:
-        return RElem(self, 1)
+        return _normal(self, 1, 0, 1)
 
     @property
     def root(self) -> RElem:
@@ -255,7 +260,7 @@ class RElem:
             raise ValueError(f"sqrt coefficient in the rational ring {ring}")
         if r < 0:
             a, b, r = -a, -b, -r
-        g = gcd(gcd(a, b), r)
+        g = gcd(a, b, r)
         if g > 1:
             a, b, r = a // g, b // g, r // g
         self.ring = ring
@@ -267,12 +272,12 @@ class RElem:
 
     def _coerce(self, other):
         if isinstance(other, RElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     f"mixed rings: {self.ring} and {other.ring}")
             return other
         if isinstance(other, int):
-            return RElem(self.ring, other)
+            return _normal(self.ring, other, 0, 1)
         return None
 
     # -- ring structure ------------------------------------------------
@@ -281,15 +286,17 @@ class RElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RElem(self.ring,
-                     self.a * o.r + o.a * self.r,
-                     self.b * o.r + o.b * self.r,
-                     self.r * o.r)
+        if self.r == o.r == 1:
+            return _normal(self.ring, self.a + o.a, self.b + o.b, 1)
+        return _reduced(self.ring,
+                        self.a * o.r + o.a * self.r,
+                        self.b * o.r + o.b * self.r,
+                        self.r * o.r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RElem(self.ring, -self.a, -self.b, self.r)
+        return _normal(self.ring, -self.a, -self.b, self.r)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -307,11 +314,12 @@ class RElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.ring.d or 0
-        return RElem(self.ring,
-                     self.a * o.a + d * self.b * o.b,
-                     self.a * o.b + self.b * o.a,
-                     self.r * o.r)
+        if self.b and o.b:
+            a = self.a * o.a + self.ring.d * self.b * o.b
+        else:
+            a = self.a * o.a
+        return _reduced(self.ring, a, self.a * o.b + self.b * o.a,
+                        self.r * o.r)
 
     __rmul__ = __mul__
 
@@ -322,7 +330,8 @@ class RElem:
         d = self.ring.d or 0
         n = self.a * self.a - d * self.b * self.b
         # n != 0: d is squarefree, so a^2 = d b^2 forces a = b = 0
-        return RElem(self.ring, self.r * self.a, -self.r * self.b, n)
+        s = self.r if n > 0 else -self.r
+        return _reduced(self.ring, s * self.a, -s * self.b, abs(n))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -343,7 +352,7 @@ class RElem:
         if n < 0:
             base = self.inverse()
             n = -n
-        out = RElem(self.ring, 1)
+        out = _normal(self.ring, 1, 0, 1)
         while n:
             if n & 1:
                 out = out * base
@@ -381,7 +390,8 @@ class RElem:
 
     def __eq__(self, other):
         if isinstance(other, RElem):
-            return (self.ring == other.ring and self.a == other.a
+            return ((self.ring is other.ring or self.ring == other.ring)
+                    and self.a == other.a
                     and self.b == other.b and self.r == other.r)
         if isinstance(other, int):
             return self.b == 0 and self.r == 1 and self.a == other
@@ -428,6 +438,27 @@ class RElem:
         return f"RElem({self.ring}, {self})"
 
 
+def _normal(ring: Ring, a: int, b: int, r: int) -> RElem:
+    """Element from fields already in normal form (r > 0, gcd(a, b, r) = 1,
+    b = 0 in a rational ring), taken as they are."""
+    x = object.__new__(RElem)
+    x.ring = ring
+    x.a = a
+    x.b = b
+    x.r = r
+    return x
+
+
+def _reduced(ring: Ring, a: int, b: int, r: int) -> RElem:
+    """Element from fields with r > 0, divided by their common content;
+    an integral denominator r = 1 needs no gcd."""
+    if r != 1:
+        g = gcd(a, b, r)
+        if g != 1:
+            a, b, r = a // g, b // g, r // g
+    return _normal(ring, a, b, r)
+
+
 @lru_cache(maxsize=None)
 def _pell_min_unit(d: int) -> tuple[int, int]:
     """Smallest (x, y) with y >= 1 and x^2 - d*y^2 = 1 or -1, from the
@@ -445,10 +476,6 @@ def _pell_min_unit(d: int) -> tuple[int, int]:
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
     raise RuntimeError(f"continued fraction of sqrt({d}) did not close")
-
-
-def fundamental_unit(ring: Ring) -> RElem:
-    return ring.fundamental_unit()
 
 
 def congruent_mod(x: RElem, y, modulus: RElem) -> bool:
@@ -557,6 +584,8 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int, *,
     """
     if not modulus:
         raise ZeroDivisionError("zero modulus")
+    if not modulus.is_integral():
+        raise ValueError(f"modulus {modulus} is not in {ring}")
     if count < 0:
         raise ValueError("count must be >= 0")
     one = ring.one

@@ -29,7 +29,7 @@ from sl2factor import (
     identity,
     involution,
     make_ring,
-    orbit_points,
+    orbit_run,
     pad,
     reverse_point,
     solve_k3,
@@ -225,7 +225,7 @@ def test_criterion_09():
         A = Mat2(Z_HALF.el(2), Z_HALF.el(3), Z_HALF.el(3), Z_HALF.el(5))
         seed = pad(PointTuple("lower", tuple(Z_HALF.el(1) for _ in range(4))),
                    A, 9)
-        pts = orbit_points(A, seed, 600, units_per_window=1)
+        pts = orbit_run(A, seed, 600, units_per_window=1).points
         assert len(set(pts)) >= 120
         assert all(P.integral for P in pts)
         baseline = generic_variety_baseline(A, 9, 2, 65, 12345)

@@ -246,6 +246,17 @@ def test_units_needs_modulus(capsys):
     assert code == 1 and "--modulus" in err
 
 
+def test_units_rejects_modulus_outside_ring(capsys):
+    code, lines, err = run(capsys, "units", "--ring", "Z[1/2]",
+                           "--modulus", "1/3")
+    assert code == 1 and not lines
+    assert err.startswith("error:") and "not in Z[1/2]" in err
+    # a denominator on the inverted prime keeps the modulus in the ring
+    code, lines, _ = run(capsys, "units", "--ring", "Z[1/2]",
+                         "--modulus", "3/2", "-n", "2")
+    assert code == 0 and lines[0]["units"] == ["4", "16"]
+
+
 # -- plumbing ---------------------------------------------------------------------
 
 
@@ -271,6 +282,15 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and lines == []  # nothing on stdout
     saved = [json.loads(line) for line in target.read_text().splitlines()]
     assert len(saved) == 3
+
+
+def test_output_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "points.jsonl"
+    code, lines, err = run(capsys, "factor", "--ring", "Z", "--matrix", A_2335,
+                           "--output", str(target))
+    assert code == 1 and not lines
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_invalid_inputs(capsys):

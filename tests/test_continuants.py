@@ -73,11 +73,18 @@ def test_word_matrix_examples(Z):
     )
 
 
-def test_word_matrix_agrees_with_product(rng, Z, Zr2, Zr2_half):
-    for ring in (Z, Zr2, Zr2_half):
-        for _ in range(60):
-            k = rng.randint(0, 9)
-            xs = rand_int_word(rng, ring, k, 8)
+def test_word_matrix_agrees_with_product(rng, Z, Z_sixth, Zr2, Zr2_half):
+    for ring in (Z, Z_sixth, Zr2, Zr2_half):
+        for trial in range(60):
+            k = rng.randint(0, 12)
+            if trial % 3:
+                xs = rand_int_word(rng, ring, k, 8)
+            else:  # fraction-field entries, denominators 1..9 (mostly off the ring)
+                xs = tuple(
+                    ring.el(rng.randint(-8, 8),
+                            rng.randint(-8, 8) if ring.is_quadratic else 0,
+                            rng.randint(1, 9))
+                    for _ in range(k))
             assert word_matrix_by_continuants(ring, xs) == word_to_matrix(
                 Word("lower", xs), ring=ring
             )

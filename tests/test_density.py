@@ -18,7 +18,7 @@ from sl2factor import (
     make_ring,
     monomial_exponents,
     monomial_matrix,
-    orbit_points,
+    orbit_run,
     vanishing_basis,
     vanishing_space_dim,
 )
@@ -320,6 +320,6 @@ def test_orbit_points_match_generic_baseline(Z_half):
     # same degree-2 conditions as generic field points of the variety
     A = Mat2(Z_half.el(2), Z_half.el(3), Z_half.el(3), Z_half.el(5))
     seed = PointTuple("lower", els(Z_half, 1, 1, 1, 1))
-    pts = orbit_points(A, seed, 40)
+    pts = orbit_run(A, seed, 40).points
     baseline = generic_variety_baseline(A, 4, 2, 20, 1234)
     assert vanishing_space_dim(pts, 2) == baseline

@@ -15,7 +15,6 @@ from sl2factor import (
     act_a0,
     act_v,
     make_ring,
-    orbit_points,
     orbit_run,
     vk_membership,
     window_modulus,
@@ -201,7 +200,7 @@ def test_orbit_rejects_non_integral_seed(Z):
 def test_orbit_over_half_ring(Z_half):
     A = mat(Z_half, 2, 3, 3, 5)
     seed = pt(Z_half, 1, 1, 1, 1)
-    got = orbit_points(A, seed, 3)
+    got = orbit_run(A, seed, 3).points
     assert len(got) == 3
     assert len(set(got)) == 3
     for P in got:
@@ -212,7 +211,7 @@ def test_orbit_over_half_ring(Z_half):
 def test_orbit_unit_moves_over_integers(Z):
     # modulus 2 window admits v = -1 even over Z
     A = mat(Z, 2, 3, 3, 5)
-    got = orbit_points(A, pt(Z, 1, 1, 1, 1), 2)
+    got = orbit_run(A, pt(Z, 1, 1, 1, 1), 2).points
     assert pt(Z, 2, -1, -1, 2) in got
 
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2factor import (ParseError, RElem, RingMismatchError,
-                       canonical_associate, congruent_mod, fundamental_unit,
-                       make_ring, units_congruent_one)
+                       canonical_associate, congruent_mod, make_ring,
+                       units_congruent_one)
+from sl2factor.rings import _strip_part
 
 COEF = st.integers(min_value=-10**6, max_value=10**6)
 DENOM = st.integers(min_value=1, max_value=10**4)
@@ -90,6 +91,121 @@ def test_field_axioms_spot(a, b, c, d2):
     if y:
         assert y * y.inverse() == 1
         assert (x / y) * y == x
+
+
+# -- fast paths against the fully normalizing constructor -------------------
+
+DIFF_RINGS = ("Z", "Z[1/6]", "Z[sqrt(2)]", "Z[sqrt(3),1/2]")
+FIELD = st.one_of(st.just(0), st.integers(-9, 9),
+                  st.integers(-2**400, 2**400))
+# denominators: none, small, products of 2 and 3 (units in Z[1/6] and
+# Z[sqrt(3),1/2]), and huge
+DEN = st.one_of(st.just(1), st.integers(1, 12),
+                st.builds(lambda i, j: 2**i * 3**j, st.integers(0, 300),
+                          st.integers(0, 60)),
+                st.integers(1, 2**400))
+
+
+def draw_element(data, ring):
+    b = data.draw(FIELD) if ring.is_quadratic else 0
+    return RElem(ring, data.draw(FIELD), b, data.draw(DEN))
+
+
+def textbook(op, x, y):
+    """x op y from the field formulas, normalized by the public constructor."""
+    ring, d = x.ring, x.ring.d or 0
+    if op == "+":
+        return RElem(ring, x.a * y.r + y.a * x.r, x.b * y.r + y.b * x.r,
+                     x.r * y.r)
+    if op == "-":
+        return RElem(ring, x.a * y.r - y.a * x.r, x.b * y.r - y.b * x.r,
+                     x.r * y.r)
+    if op == "*":
+        return RElem(ring, x.a * y.a + d * x.b * y.b, x.a * y.b + x.b * y.a,
+                     x.r * y.r)
+    # x/y = x * conj(y) * r_y / (r_x * N(y))
+    return RElem(ring, y.r * (x.a * y.a - d * x.b * y.b),
+                 y.r * (x.b * y.a - x.a * y.b),
+                 x.r * (y.a * y.a - d * y.b * y.b))
+
+
+def assert_normal_and_equal(z, ref):
+    assert type(z) is RElem and z.ring == ref.ring
+    assert z.r > 0 and math.gcd(z.a, z.b, z.r) == 1
+    assert z.ring.is_quadratic or z.b == 0
+    assert (z.a, z.b, z.r) == (ref.a, ref.b, ref.r)
+
+
+OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+       "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@settings(max_examples=300)
+@given(spec=st.sampled_from(DIFF_RINGS), data=st.data())
+def test_operators_match_normalizing_constructor(spec, data):
+    ring = make_ring(spec)
+    x, y = draw_element(data, ring), draw_element(data, ring)
+    n = data.draw(FIELD)
+    assert_normal_and_equal(-x, RElem(ring, -x.a, -x.b, x.r))
+    for op, f in OPS.items():
+        if op == "/" and not y:
+            with pytest.raises(ZeroDivisionError):
+                f(x, y)
+            continue
+        z = f(x, y)
+        assert_normal_and_equal(z, textbook(op, x, y))
+        if not ring.is_quadratic:
+            assert Fraction(z.a, z.r) == f(Fraction(x.a, x.r),
+                                           Fraction(y.a, y.r))
+        # an int operand on either side equals the promoted element
+        if op != "/" or n:
+            assert_normal_and_equal(f(x, n), textbook(op, x, RElem(ring, n)))
+        if op != "/" or x:
+            assert_normal_and_equal(f(n, x), textbook(op, RElem(ring, n), x))
+
+
+def strip_by_trial_division(n, m):
+    n = abs(n)
+    p = 2
+    while m > 1:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            while n and n % p == 0:
+                n //= p
+        p += 1
+    return n
+
+
+@settings(max_examples=300)
+@given(m=st.sampled_from([1, 2, 3, 6, 10, 12, 30, 49, 97]),
+       i=st.integers(0, 3000), j=st.integers(0, 200), k=st.integers(0, 50),
+       cofactor=st.integers(-2**200, 2**200))
+def test_strip_part_matches_trial_division(m, i, j, k, cofactor):
+    n = 2**i * 3**j * 7**k * cofactor
+    want = strip_by_trial_division(n, m)
+    assert _strip_part(n, m) == want
+    if n:
+        specs = ("Z", "Z[sqrt(5)]") if m == 1 else (f"Z[1/{m}]",
+                                                    f"Z[sqrt(5),1/{m}]")
+        for ring in map(make_ring, specs):
+            x = RElem(ring, 1, 0, abs(n))
+            assert x.is_integral() == (strip_by_trial_division(x.r, m) == 1)
+
+
+def test_strip_part_large_prime_powers():
+    assert _strip_part(3 * 2**20000, 2) == 3
+    assert _strip_part(2**20000, 6) == 1
+    assert _strip_part(-(3**5000) * 5**7, 6) == 5**7
+    assert _strip_part(0, 6) == 0
+    assert _strip_part(1, 6) == 1
+
+
+def test_public_constructor_validates_and_normalizes(Z):
+    with pytest.raises(ValueError):
+        RElem(Z, 1, 1)  # sqrt part in a rational ring
+    x = RElem(Z, 4, 0, -6)
+    assert (x.a, x.b, x.r) == (-2, 0, 3)
 
 
 def test_zero_division(Z):
@@ -177,7 +293,7 @@ def brute_force_pell(d: int) -> tuple[int, int]:
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19])
 def test_fundamental_unit_matches_brute_force(d):
     ring = make_ring(f"Z[sqrt({d})]")
-    eps = fundamental_unit(ring)
+    eps = ring.fundamental_unit()
     x, y = brute_force_pell(d)
     assert (eps.a, eps.b, eps.r) == (x, y, 1)
     norm = eps.a * eps.a - d * eps.b * eps.b
@@ -191,12 +307,12 @@ def test_fundamental_unit_matches_brute_force(d):
 
 
 def test_fundamental_unit_known_values():
-    assert str(fundamental_unit(make_ring("Z[sqrt(2)]"))) == "(1+1*w)"
-    assert str(fundamental_unit(make_ring("Z[sqrt(3)]"))) == "(2+1*w)"
+    assert str(make_ring("Z[sqrt(2)]").fundamental_unit()) == "(1+1*w)"
+    assert str(make_ring("Z[sqrt(3)]").fundamental_unit()) == "(2+1*w)"
     # the order Z[sqrt(5)] misses the golden ratio; its unit is 2+sqrt(5)
-    assert str(fundamental_unit(make_ring("Z[sqrt(5)]"))) == "(2+1*w)"
+    assert str(make_ring("Z[sqrt(5)]").fundamental_unit()) == "(2+1*w)"
     with pytest.raises(ValueError):
-        fundamental_unit(make_ring("Z"))
+        make_ring("Z").fundamental_unit()
 
 
 def test_congruent_mod(Z, Z_half, Zr2):
@@ -254,6 +370,13 @@ def test_units_congruent_one_contract(spec, mod):
         assert v != 1
 
 
+def test_units_congruent_one_rejects_modulus_outside_ring(Z_half, Zr2):
+    with pytest.raises(ValueError):
+        units_congruent_one(Z_half, Z_half.el(1, 0, 3), 2)
+    with pytest.raises(ValueError):
+        units_congruent_one(Zr2, Zr2.el(1, 1, 2), 2)
+
+
 def test_canonical_associate_examples(Z, Z_half, Z_sixth):
     assert canonical_associate(Z.el(-5)) == (Z.el(5), Z.el(-1))
     tilde, u = canonical_associate(Z_half.el(14))
@@ -288,7 +411,7 @@ def test_canonical_associate_collapses_associates(a, b, e, s):
     x = RElem(ring, a, b)
     if not x:
         return
-    eps = fundamental_unit(ring)
+    eps = ring.fundamental_unit()
     y = x * eps**e * s
     assert canonical_associate(x)[0] == canonical_associate(y)[0]
 
