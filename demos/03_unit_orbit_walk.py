@@ -9,7 +9,7 @@ Run: python3 demos/03_unit_orbit_walk.py
 
 from sl2factor import (
     Mat2,
-    PointTuple,
+    Word,
     make_ring,
     orbit_run,
     units_congruent_one,
@@ -20,7 +20,7 @@ from sl2factor import (
 def main():
     R = make_ring("Z[1/2]")
     A = Mat2(R.el(2), R.el(3), R.el(3), R.el(5))
-    seed = PointTuple("lower", tuple(R.el(1) for _ in range(4)))
+    seed = Word("lower", tuple(R.el(1) for _ in range(4)))
 
     a = window_modulus(seed, 1)
     print(f"seed {seed}, window modulus {a}")

@@ -13,7 +13,7 @@ Run: python3 demos/04_density_experiment.py
 
 from sl2factor import (
     Mat2,
-    PointTuple,
+    Word,
     density_report,
     generic_variety_baseline,
     make_ring,
@@ -47,7 +47,7 @@ def main():
     print()
 
     A = Mat2(R.el(2), R.el(3), R.el(3), R.el(5))
-    seed = pad(PointTuple("lower", tuple(R.el(1) for _ in range(4))), A, 6)
+    seed = pad(Word("lower", tuple(R.el(1) for _ in range(4))), A, 6)
     pts = orbit_run(A, seed, 80).points
     baseline = generic_variety_baseline(A, 6, 2, 38, 2024)
     report = density_report(pts, 2, baseline=baseline)

@@ -24,17 +24,16 @@ from .rings import (ORDER_SEARCH_CAP, ParseError, RElem, Ring,
                     RingMismatchError, UnitsResult, canonical_associate,
                     congruent_mod, make_ring, units_congruent_one)
 from .varieties import (ENUM_HALF_CAP, MINUS_IDENTITY_ENTRIES, BudgetError,
-                        HeightBound, K3Solution, MembershipError, PointTuple,
+                        HeightBound, K3Solution, MembershipError,
                         convert_shape, coordinate_box,
                         enumerate_points_bounded, factor_euclid, fiber_lift,
-                        pad, point_from_json, point_to_json, reverse_point,
-                        solve_k3, unit_product_points)
+                        pad, reverse_point, solve_k3, unit_product_points)
 
 __all__ = [
     "ENUM_HALF_CAP", "MINUS_IDENTITY_ENTRIES", "ORBIT_BUDGET",
     "ORDER_SEARCH_CAP", "INVOLUTIONS", "WORD_SHAPES",
     "BudgetError", "HeightBound", "K3Solution", "Mat2", "MembershipError",
-    "OrbitRecord", "OrbitRun", "ParseError", "PointTuple", "RElem", "Ring",
+    "OrbitRecord", "OrbitRun", "ParseError", "RElem", "Ring",
     "RingMismatchError", "UnitsResult", "Word",
     "a1_families", "act_a0", "act_v", "canonical_associate", "congruent_mod",
     "continuant", "convert_shape", "coordinate_box", "density_report",
@@ -43,7 +42,7 @@ __all__ = [
     "generic_variety_baseline", "identity", "involution", "letter_kind",
     "make_ring", "matrix_from_json", "matrix_to_json", "membership_residuals",
     "monomial_exponents", "monomial_matrix", "orbit_run",
-    "pad", "point_from_json", "point_to_json", "reverse_point", "solve_k3",
+    "pad", "reverse_point", "solve_k3",
     "t_matrix", "unit_product_points", "units_congruent_one",
     "vanishing_basis", "vanishing_space_dim", "vk_membership",
     "window_modulus", "word_from_json", "word_matrix_by_continuants",

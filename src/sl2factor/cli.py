@@ -22,12 +22,12 @@ from math import comb
 from .continuants import membership_residuals, vk_membership
 from .density import (density_report, generic_unit_variety_baseline,
                       generic_variety_baseline)
-from .matrices import Mat2, Word, matrix_from_json, word_to_matrix
+from .matrices import (WORD_SHAPES, Mat2, Word, matrix_from_json,
+                       shape_target, word_from_json, word_to_json)
 from .orbits import orbit_run
 from .rings import ParseError, make_ring, units_congruent_one
-from .varieties import (BudgetError, HeightBound, PointTuple,
-                        enumerate_points_bounded, factor_euclid, pad,
-                        point_from_json, unit_product_points)
+from .varieties import (BudgetError, HeightBound, enumerate_points_bounded,
+                        factor_euclid, pad, unit_product_points)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -56,20 +56,18 @@ def _matrix(ring, args) -> Mat2:
     return matrix_from_json(ring, json.loads(args.matrix))
 
 
-def _point(ring, args) -> PointTuple:
+def _point(ring, args) -> Word:
     if args.point is None:
         raise ParseError("--point is required for this subcommand")
-    return point_from_json(ring, json.loads(args.point), args.shape)
+    return word_from_json(ring, json.loads(args.point), args.shape)
 
 
-def _verified_point_json(A: Mat2, P: PointTuple) -> dict:
+def _verified_point_json(A: Mat2, P: Word) -> dict:
     # fail closed: nothing is printed that does not satisfy the
     # equations at print time
     if not vk_membership(A, P.entries, P.shape):
         raise AssertionError(f"refusing to print non-member point {P}")
-    return {"shape": P.shape,
-            "entries": [str(x) for x in P.entries],
-            "integral": P.integral}
+    return word_to_json(P)
 
 
 def cmd_factor(args, out) -> int:
@@ -85,12 +83,11 @@ def cmd_factor(args, out) -> int:
         if not points:
             print("no factorization within the given bounds", file=sys.stderr)
             return EXIT_EMPTY
-        word = Word(args.shape, points[0].entries)
+        word = points[0]
     else:
         word = factor_euclid(A)
-    P = PointTuple(word.shape, word.entries)
-    payload = _verified_point_json(A, P)
-    _emit(out, {"shape": payload["shape"], "k": P.k,
+    payload = _verified_point_json(A, word)
+    _emit(out, {"shape": payload["shape"], "k": word.k,
                 "entries": payload["entries"]})
     return EXIT_OK
 
@@ -150,14 +147,16 @@ def cmd_density(args, out) -> int:
         if args.point is not None:
             seed_point = _point(ring, args)
         else:
-            word = factor_euclid(A)
-            seed_point = PointTuple(word.shape, word.entries)
+            seed_point = factor_euclid(A)
         if seed_point.k > k:
             raise ParseError(f"seed has length {seed_point.k} > --k {k}")
         seed_point = pad(seed_point, A, k)
         run = orbit_run(A, seed_point, args.count)
         points = run.points
-        baseline = generic_variety_baseline(A, k, degree, baseline_count,
+        # upper and D points of A are lower points of A.prime(), and the
+        # baseline samples lower points
+        baseline = generic_variety_baseline(shape_target(A, seed_point.shape),
+                                            k, degree, baseline_count,
                                             args.seed + 1)
     else:
         rng = random.Random(args.seed)
@@ -221,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--point",
                        help="point JSON: entry list or {shape, entries}")
         p.add_argument("--shape", default="lower",
-                       choices=["lower", "upper", "D"],
+                       choices=WORD_SHAPES,
                        help="word shape (default lower)")
         p.add_argument("--k", type=int, help="word length")
         p.add_argument("--bound",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .matrices import Mat2
+from .matrices import Mat2, shape_target
 from .rings import RElem, Ring
 
 
@@ -66,9 +66,7 @@ def membership_residuals(A: Mat2, xs: Sequence[RElem],
     """
     if A.det() != 1:
         raise ValueError("membership target must have determinant 1")
-    if shape not in ("lower", "upper", "D"):
-        raise ValueError(f"unknown word shape {shape!r}")
-    target = A if shape == "lower" else A.prime()
+    target = shape_target(A, shape)
     M = word_matrix_by_continuants(A.ring, xs)
     return (M.a - target.a, M.c - target.c, M.b - target.b, M.d - target.d)
 

@@ -25,8 +25,9 @@ import random
 from math import comb, gcd, isqrt, lcm
 from typing import NamedTuple, Sequence
 
+from .matrices import Word
 from .rings import RElem, Ring
-from .varieties import PointTuple, fiber_lift, unit_product_points
+from .varieties import fiber_lift, unit_product_points
 
 BASELINE_TAIL_SPAN = 40
 # the prime search walks down from 2^61 - 1 through p = 3 mod 4, where
@@ -61,7 +62,7 @@ def monomial_exponents(k: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def _point_entries(P) -> tuple[RElem, ...]:
-    if isinstance(P, PointTuple):
+    if isinstance(P, Word):
         return P.entries
     return tuple(P)
 

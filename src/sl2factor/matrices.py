@@ -19,7 +19,7 @@ go U(x1) L(x2) ..., and D-type words are D(x1) ... D(xk) t^k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rings import ParseError, RElem, Ring, RingMismatchError
 
@@ -128,12 +128,28 @@ def letter_kind(shape: str, position: int) -> str:
     raise ValueError(f"unknown word shape {shape!r}")
 
 
+def shape_target(A: Mat2, shape: str) -> Mat2:
+    """Matrix whose lower-start equations a tuple of the given shape must
+    solve: A itself for lower-start words, A.prime() for upper-start and
+    D-type words."""
+    if shape not in WORD_SHAPES:
+        raise ValueError(f"unknown word shape {shape!r}")
+    return A if shape == "lower" else A.prime()
+
+
 @dataclass(frozen=True)
 class Word:
-    """Alternating word: a shape plus the tuple of generator arguments."""
+    """Alternating word: a shape plus the tuple of generator arguments.
+
+    A word whose product is A is also a point of the factorization
+    variety of A.  Entries may lie anywhere in the fraction field; the
+    `integral` flag says whether all of them lie in the ring.  The note
+    is free-form provenance and takes no part in equality or hashing.
+    """
 
     shape: str
     entries: tuple[RElem, ...]
+    note: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.shape not in WORD_SHAPES:
@@ -142,6 +158,13 @@ class Word:
     @property
     def k(self) -> int:
         return len(self.entries)
+
+    @property
+    def integral(self) -> bool:
+        return all(x.is_integral() for x in self.entries)
+
+    def __str__(self) -> str:
+        return "(" + ",".join(str(x) for x in self.entries) + ")"
 
 
 def word_to_matrix(word: Word, *, ring: Ring | None = None) -> Mat2:
@@ -180,13 +203,20 @@ def matrix_from_json(ring: Ring, obj) -> Mat2:
 
 
 def word_to_json(word: Word) -> dict:
-    return {"shape": word.shape, "entries": [str(x) for x in word.entries]}
+    return {"shape": word.shape,
+            "entries": [str(x) for x in word.entries],
+            "integral": word.integral}
 
 
-def word_from_json(ring: Ring, obj) -> Word:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ParseError("word payload must be an object with entries")
-    shape = obj.get("shape", "lower")
-    if shape not in WORD_SHAPES:
-        raise ParseError(f"unknown word shape {shape!r}")
-    return Word(shape, tuple(ring.from_json(v) for v in obj["entries"]))
+def word_from_json(ring: Ring, obj, default_shape: str = "lower") -> Word:
+    """Word from a JSON payload: either {"shape":..., "entries":[...]} or a
+    bare entry list (shape then defaults)."""
+    if isinstance(obj, list):
+        return Word(default_shape, tuple(ring.from_json(v) for v in obj))
+    if isinstance(obj, dict) and "entries" in obj:
+        entries = tuple(ring.from_json(v) for v in obj["entries"])
+        shape = obj.get("shape", default_shape)
+        if shape not in WORD_SHAPES:
+            raise ParseError(f"unknown word shape {shape!r}")
+        return Word(shape, entries)
+    raise ParseError("point payload must be a list or an object with entries")

@@ -18,24 +18,23 @@ every word shape because all shapes share the same defining equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .continuants import vk_membership
-from .matrices import Mat2
-from .rings import RElem, Ring, UnitsResult, units_congruent_one
-from .varieties import MembershipError, PointTuple, _require_member
+from .matrices import Mat2, Word
+from .rings import RElem, UnitsResult, units_congruent_one
+from .varieties import MembershipError, _require_member
 
 ORBIT_BUDGET = 10**5
 
 
-def window_modulus(P: PointTuple, i: int) -> RElem:
+def window_modulus(P: Word, i: int) -> RElem:
     """Modulus 1 + x_{i+1} x_{i+2} of the window at 1-based start i."""
     if not 1 <= i <= P.k - 3:
         raise IndexError(f"window start {i} out of range for length {P.k}")
     return 1 + P.entries[i] * P.entries[i + 1]
 
 
-def act_v(P: PointTuple, i: int, v) -> PointTuple:
+def act_v(P: Word, i: int, v) -> Word:
     """Rewrite the window at i by the unit action with parameter v.
 
     Needs a nonzero window modulus and nonzero v.  Works over the whole
@@ -56,10 +55,10 @@ def act_v(P: PointTuple, i: int, v) -> PointTuple:
     e[i] = v * x2
     e[i + 1] = vinv * x3
     e[i + 2] = x4 + (1 - v) * x2 / a
-    return PointTuple(P.shape, tuple(e))
+    return Word(P.shape, tuple(e))
 
 
-def act_a0(P: PointTuple, i: int, u) -> PointTuple:
+def act_a0(P: Word, i: int, u) -> Word:
     """Shear the window at i when its modulus vanishes.
 
     The window becomes (x1 + u x3, x2, x3, x4 - u x2); the action is
@@ -74,10 +73,10 @@ def act_a0(P: PointTuple, i: int, u) -> PointTuple:
     x1, x2, x3, x4 = e[i - 1:i + 3]
     e[i - 1] = x1 + u * x3
     e[i + 2] = x4 - u * x2
-    return PointTuple(P.shape, tuple(e))
+    return Word(P.shape, tuple(e))
 
 
-def a1_families(A: Mat2, u) -> tuple[PointTuple, PointTuple]:
+def a1_families(A: Mat2, u) -> tuple[Word, Word]:
     """The two length-4 solution families through a matrix with a = 1.
 
     Returns (u, 0, b-u, c) and (b, c-u, 0, u); the first lies on the
@@ -88,8 +87,8 @@ def a1_families(A: Mat2, u) -> tuple[PointTuple, PointTuple]:
         raise ValueError("a1_families needs the upper-left entry to be 1")
     u = ring.el(u)
     zero = ring.zero
-    first = PointTuple("lower", (u, zero, A.b - u, A.c))
-    second = PointTuple("lower", (A.b, A.c - u, zero, u))
+    first = Word("lower", (u, zero, A.b - u, A.c))
+    second = Word("lower", (A.b, A.c - u, zero, u))
     for P in (first, second):
         if not vk_membership(A, P.entries, "lower"):
             raise AssertionError(f"family point {P} failed verification")
@@ -100,7 +99,7 @@ def a1_families(A: Mat2, u) -> tuple[PointTuple, PointTuple]:
 class OrbitRecord:
     """One orbit point with the move that produced it."""
 
-    point: PointTuple
+    point: Word
     window: int | None  # 1-based window start, None for the seed
     action: str  # "seed" | "unit" | "shear" | "family"
     parameter: RElem | None
@@ -117,13 +116,8 @@ class OrbitRun:
     exhausted: bool
 
     @property
-    def points(self) -> list[PointTuple]:
+    def points(self) -> list[Word]:
         return [rec.point for rec in self.records]
-
-
-@lru_cache(maxsize=None)
-def _units_for(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
-    return units_congruent_one(ring, modulus, count)
 
 
 def _shear_params(count: int):
@@ -132,7 +126,7 @@ def _shear_params(count: int):
         yield -j
 
 
-def orbit_run(A: Mat2, seed: PointTuple, n: int, *,
+def orbit_run(A: Mat2, seed: Word, n: int, *,
               units_per_window: int = 2,
               budget: int = ORBIT_BUDGET) -> OrbitRun:
     """Breadth-first orbit of a verified integral point under the window
@@ -157,11 +151,11 @@ def orbit_run(A: Mat2, seed: PointTuple, n: int, *,
     seen = {seed}
     frontier = [seed]
     stalled: list[RElem] = []
-    stalled_seen: set[RElem] = set()
     exhausted = False
     spent = 0
+    units_for: dict[RElem, UnitsResult] = {}  # window modulus -> its units
 
-    def emit(child: PointTuple, window: int, action: str, parameter: RElem) -> bool:
+    def emit(child: Word, window: int, action: str, parameter: RElem) -> bool:
         if child in seen:
             return False
         if not child.integral:
@@ -183,10 +177,12 @@ def orbit_run(A: Mat2, seed: PointTuple, n: int, *,
                 spent += 1
                 a = window_modulus(P, i)
                 if a:
-                    found = _units_for(ring, a, units_per_window)
-                    if found.stalled and a not in stalled_seen:
-                        stalled_seen.add(a)
-                        stalled.append(a)
+                    found = units_for.get(a)
+                    if found is None:
+                        found = units_for[a] = units_congruent_one(
+                            ring, a, units_per_window)
+                        if found.stalled:
+                            stalled.append(a)
                     done = any(emit(act_v(P, i, v), i, "unit", v)
                                for v in found.units)
                 else:

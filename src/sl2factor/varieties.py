@@ -1,22 +1,21 @@
 """Producing and transporting solution tuples of the word-factorization
 equations.
 
-A point is a tuple (x1, ..., xk) whose word of the recorded shape
-multiplies out to a fixed matrix A.  Points may have entries anywhere in
-the fraction field; the `integral` flag says whether all entries lie in
-the ring.  Everything here re-checks membership through the continuant
-route before returning, so a constructed point is always a verified one.
+A point is a `Word`: a tuple (x1, ..., xk) whose word of the recorded
+shape multiplies out to a fixed matrix A.  Everything here re-checks
+membership through the continuant route before returning, so a
+constructed point is always a verified one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .continuants import vk_membership
-from .matrices import Mat2, Word, elem, identity, letter_kind
-from .rings import ParseError, RElem, Ring
+from .matrices import Mat2, Word, elem, identity, letter_kind, shape_target
+from .rings import RElem, Ring
 
 ENUM_HALF_CAP = 10**8
 
@@ -33,45 +32,9 @@ class BudgetError(RuntimeError):
     """An enumeration or search exceeded its configured budget."""
 
 
-@dataclass(frozen=True)
-class PointTuple:
-    """A candidate or verified solution tuple for one word shape."""
-
-    shape: str
-    entries: tuple[RElem, ...]
-    note: str | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.shape not in ("lower", "upper", "D"):
-            raise ValueError(f"unknown word shape {self.shape!r}")
-
-    @property
-    def k(self) -> int:
-        return len(self.entries)
-
-    @property
-    def integral(self) -> bool:
-        return all(x.is_integral() for x in self.entries)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.entries) + ")"
-
-
-def point_to_json(P: PointTuple) -> dict:
-    return {"shape": P.shape,
-            "entries": [str(x) for x in P.entries],
-            "integral": P.integral}
-
-
-def point_from_json(ring: Ring, obj, default_shape: str = "lower") -> PointTuple:
-    """Point from a JSON payload: either {"shape":..., "entries":[...]} or a
-    bare entry list (shape then defaults)."""
-    if isinstance(obj, list):
-        return PointTuple(default_shape, tuple(ring.from_json(v) for v in obj))
-    if isinstance(obj, dict) and "entries" in obj:
-        shape = obj.get("shape", default_shape)
-        return PointTuple(shape, tuple(ring.from_json(v) for v in obj["entries"]))
-    raise ParseError("point payload must be a list or an object with entries")
+# the benchmark harness (bench/workloads.py) still builds its orbit seeds
+# through this name; everything else uses Word
+PointTuple = Word
 
 
 # -- Euclidean factorization over the integers --------------------------
@@ -162,13 +125,13 @@ class K3Solution:
     or the one-parameter family (b - t, 0, t)."""
 
     kind: str  # "unique" | "empty" | "family"
-    point: PointTuple | None = None
+    point: Word | None = None
     family_sum: RElem | None = None  # family case: x1 + x3 must equal this
 
-    def family_point(self, t: RElem) -> PointTuple:
+    def family_point(self, t: RElem) -> Word:
         if self.kind != "family":
             raise ValueError("not a family solution")
-        return PointTuple("lower", (self.family_sum - t, t.ring.zero, t))
+        return Word("lower", (self.family_sum - t, t.ring.zero, t))
 
 
 def solve_k3(A: Mat2) -> K3Solution:
@@ -181,8 +144,7 @@ def solve_k3(A: Mat2) -> K3Solution:
         raise ValueError("solve_k3 needs determinant 1")
     ring = A.ring
     if A.c:
-        point = PointTuple("lower",
-                           ((A.d - 1) / A.c, A.c, (A.a - 1) / A.c))
+        point = Word("lower", ((A.d - 1) / A.c, A.c, (A.a - 1) / A.c))
         if not vk_membership(A, point.entries, "lower"):
             raise AssertionError("closed-form solution failed verification")
         return K3Solution("unique", point)
@@ -191,7 +153,7 @@ def solve_k3(A: Mat2) -> K3Solution:
     return K3Solution("family", None, A.b)
 
 
-def fiber_lift(A: Mat2, tail: Sequence[RElem]) -> PointTuple | None:
+def fiber_lift(A: Mat2, tail: Sequence[RElem]) -> Word | None:
     """Lift a free tail (x4, ..., xk) to a full point of the length-k
     equations by peeling the trailing factors and solving the length-3
     core.
@@ -216,7 +178,7 @@ def fiber_lift(A: Mat2, tail: Sequence[RElem]) -> PointTuple | None:
     else:
         entries = sol.family_point(ring.zero).entries + tail
         note = "non-generic fiber"
-    P = PointTuple("lower", entries, note)
+    P = Word("lower", entries, note)
     if not vk_membership(A, P.entries, "lower"):
         raise AssertionError("lifted point failed verification")
     return P
@@ -225,24 +187,24 @@ def fiber_lift(A: Mat2, tail: Sequence[RElem]) -> PointTuple | None:
 # -- transports ----------------------------------------------------------
 
 
-def _require_member(A: Mat2, P: PointTuple):
+def _require_member(A: Mat2, P: Word):
     if not vk_membership(A, P.entries, P.shape):
         raise MembershipError(f"{P} does not solve the {P.shape} equations for {A}")
 
 
-def pad(P: PointTuple, A: Mat2, k_new: int) -> PointTuple:
+def pad(P: Word, A: Mat2, k_new: int) -> Word:
     """Extend a verified point with trailing zeros; zero letters multiply
     to the identity, so the matrix and the membership are unchanged."""
     if k_new < P.k:
         raise ValueError(f"cannot pad length {P.k} down to {k_new}")
     _require_member(A, P)
     zero = A.ring.zero
-    Q = PointTuple(P.shape, P.entries + (zero,) * (k_new - P.k))
+    Q = Word(P.shape, P.entries + (zero,) * (k_new - P.k))
     _require_member(A, Q)
     return Q
 
 
-def convert_shape(P: PointTuple, A: Mat2) -> tuple[Mat2, PointTuple]:
+def convert_shape(P: Word, A: Mat2) -> tuple[Mat2, Word]:
     """Reread a lower-start point as an upper-start point.
 
     The same entries solve the upper-start equations for the half-turn
@@ -252,12 +214,12 @@ def convert_shape(P: PointTuple, A: Mat2) -> tuple[Mat2, PointTuple]:
         raise ValueError("convert_shape starts from a lower-start point")
     _require_member(A, P)
     B = A.prime()
-    Q = PointTuple("upper", P.entries)
+    Q = Word("upper", P.entries)
     _require_member(B, Q)
     return B, Q
 
 
-def reverse_point(P: PointTuple, A: Mat2) -> tuple[Mat2, PointTuple]:
+def reverse_point(P: Word, A: Mat2) -> tuple[Mat2, Word]:
     """Reverse the coordinates of a lower-start point.
 
     The reversed tuple solves the lower-start equations for A.star()
@@ -267,7 +229,7 @@ def reverse_point(P: PointTuple, A: Mat2) -> tuple[Mat2, PointTuple]:
         raise ValueError("reverse_point starts from a lower-start point")
     _require_member(A, P)
     B = A.star() if P.k % 2 == 1 else A.transpose()
-    Q = PointTuple("lower", P.entries[::-1])
+    Q = Word("lower", P.entries[::-1])
     _require_member(B, Q)
     return B, Q
 
@@ -331,7 +293,7 @@ def coordinate_box(ring: Ring, bound: HeightBound) -> list[RElem]:
 
 
 def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
-                             half_cap: int = ENUM_HALF_CAP) -> list[PointTuple]:
+                             half_cap: int = ENUM_HALF_CAP) -> list[Word]:
     """Every solution tuple of length k inside the height box, in
     lexicographic order of the entries.
 
@@ -345,12 +307,10 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
     if k < 0:
         raise ValueError("k must be >= 0")
     ring = A.ring
-    target = A if shape == "lower" else A.prime()
-    if shape not in ("lower", "upper", "D"):
-        raise ValueError(f"unknown word shape {shape!r}")
+    target = shape_target(A, shape)
     if k == 0:
         ok = target == identity(ring)
-        return [PointTuple(shape, ())] if ok else []
+        return [Word(shape, ())] if ok else []
     box = coordinate_box(ring, bound)
     j = k // 2
     if len(box) ** max(j, k - j) > half_cap:
@@ -374,4 +334,4 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
             if vk_membership(target, xs, "lower"):  # fail-closed recheck
                 out.append(xs)
     out.sort()
-    return [PointTuple(shape, xs) for xs in out]
+    return [Word(shape, xs) for xs in out]

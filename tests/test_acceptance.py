@@ -15,7 +15,6 @@ import pytest
 
 from sl2factor import (
     Mat2,
-    PointTuple,
     Word,
     a1_families,
     act_v,
@@ -114,7 +113,7 @@ def test_criterion_04():
                 k = rng.choice([4, 6, 8] if parity == 0 else [3, 5, 7])
                 xs = rand_word(rng, Z, k, 10)
                 A = word_to_matrix(Word("lower", xs))
-                P = PointTuple("lower", xs)
+                P = Word("lower", xs)
                 B, Q = convert_shape(P, A)  # re-verifies both sides
                 assert B == A.prime() and Q.shape == "upper"
                 C, R = reverse_point(P, A)  # re-verifies both sides
@@ -131,7 +130,7 @@ def test_criterion_05():
                 Z.el(rng.randint(-20, 20), 0, rng.randint(1, 8))
                 for _ in range(4)
             )
-            P = PointTuple("lower", entries)
+            P = Word("lower", entries)
             if window_modulus(P, 1) == 0:
                 continue
             v = Z.el(2) ** rng.randint(0, 10) * rng.choice([1, -1])
@@ -157,7 +156,7 @@ def test_criterion_06():
                                for _ in range(4))
                 else:
                     xs = rand_word(rng, ring, 4, span)
-                P = PointTuple("lower", xs)
+                P = Word("lower", xs)
                 alpha = window_modulus(P, 1)
                 if not alpha or alpha.is_unit():
                     continue
@@ -223,7 +222,7 @@ def test_criterion_09():
                       "are dense at degree 2 against the generic baseline",
                    limit=60.0):
         A = Mat2(Z_HALF.el(2), Z_HALF.el(3), Z_HALF.el(3), Z_HALF.el(5))
-        seed = pad(PointTuple("lower", tuple(Z_HALF.el(1) for _ in range(4))),
+        seed = pad(Word("lower", tuple(Z_HALF.el(1) for _ in range(4))),
                    A, 9)
         pts = orbit_run(A, seed, 600, units_per_window=1).points
         assert len(set(pts)) >= 120
@@ -271,7 +270,7 @@ def test_criterion_12():
                     k = rng.randint(1, 6)
                     xs = rand_word(rng, ring, k, 8)
                     A = word_to_matrix(Word(shape, xs), ring=ring)
-                    P = PointTuple(shape, xs)
+                    P = Word(shape, xs)
                     for extra in range(1, 6):
                         Q = pad(P, A, k + extra)  # verifies internally
                         assert Q.k == k + extra

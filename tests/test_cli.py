@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from sl2factor.cli import main
 
 A_2335 = '{"a":"2","c":"3","b":"3","d":"5"}'
 IDENTITY = '{"a":"1","c":"0","b":"0","d":"1"}'
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -195,14 +198,26 @@ def test_density_unit_mode(capsys):
                       "nullity": 1, "baseline": 1, "dense_at_D": True}]
 
 
-def test_density_unit_mode_readme_line(capsys):
-    # the README's unit-product command, pinned byte for byte
-    code = main(["density", "--ring", "Z[1/2]", "--k", "2", "--degree", "2",
-                 "-n", "100"])
-    assert code == 0
-    assert capsys.readouterr().out == (
-        '{"k":2,"D":2,"monomials":6,"points":100,"nullity":1,"baseline":1,'
-        '"dense_at_D":true}\n')
+def test_density_baseline_follows_seed_shape(capsys):
+    # upper and D points of A are lower points of A.prime(), so the
+    # baseline must be sampled from that variety
+    prime_line = ('{"k":4,"D":2,"monomials":15,"points":100,"nullity":12,'
+                  '"baseline":12,"dense_at_D":true}\n')
+    point = ["--point", '["1","2","0","0"]', "--k", "4", "-n", "100"]
+    assert main(["density", "--ring", "Z[1/2]", "--matrix",
+                 '{"a":"1","c":"2","b":"1","d":"3"}', "--shape", "lower",
+                 *point]) == 0
+    assert capsys.readouterr().out == prime_line
+    for shape in ("upper", "D"):
+        assert main(["density", "--ring", "Z[1/2]", "--matrix",
+                     '{"a":"3","c":"1","b":"2","d":"1"}', "--shape", shape,
+                     *point]) == 0
+        assert capsys.readouterr().out == prime_line
+    # over Z the lower variety of A itself has no generic points at all
+    code, lines, err = run(capsys, "density", "--ring", "Z", "--matrix",
+                           '{"a":"-1","c":"0","b":"2","d":"-1"}', "--k", "3",
+                           "--shape", "upper", "--point", '["-1","2","-1"]')
+    assert code == 0 and err == "" and lines[0]["dense_at_D"] is True
 
 
 def test_density_needs_k(capsys):
@@ -255,6 +270,105 @@ def test_units_rejects_modulus_outside_ring(capsys):
     code, lines, _ = run(capsys, "units", "--ring", "Z[1/2]",
                          "--modulus", "3/2", "-n", "2")
     assert code == 0 and lines[0]["units"] == ["4", "16"]
+
+
+# -- README commands ------------------------------------------------------------
+
+# every `sl2factor ...` line of the README with its exact stdout and exit code
+README_CLI = [
+    (['factor', '--ring', 'Z', '--matrix',
+      '{"a":"2","c":"3","b":"3","d":"5"}'],
+     '{"shape":"lower","k":5,"entries":["1","2","-1","-1","1"]}\n',
+     0),
+    (['factor', '--ring', 'Z', '--matrix',
+      '{"a":"2","c":"1","b":"1","d":"1"}', '--k', '3', '--bound', '2'],
+     '{"shape":"lower","k":3,"entries":["0","1","1"]}\n',
+     0),
+    (['verify', '--ring', 'Z', '--matrix',
+      '{"a":"2","c":"3","b":"3","d":"5"}', '--point', '["1","1","1","1"]'],
+     '{"member":true,"integral":true,"residuals":["0","0","0","0"]}\n',
+     0),
+    (['orbit', '--ring', 'Z[1/2]', '--matrix',
+      '{"a":"2","c":"3","b":"3","d":"5"}', '--point', '["1","1","1","1"]',
+      '-n', '20'],
+     '{"shape":"lower","entries":["1","1","1","1"],'
+     '"integral":true,"window":null,"action":"seed","parameter":null}\n'
+     '{"shape":"lower","entries":["5/4","2","1/2","1/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["2","-1","-1","2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["11/8","4","1/4","-1/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["7/4","-2","-1/2","5/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["23/16","8","1/8","-5/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["13/8","-4","-1/4","7/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["47/32","16","1/16","-13/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["25/16","-8","-1/8","11/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["95/64","32","1/32","-29/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["49/32","-16","-1/16","19/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["191/128","64","1/64","-61/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["97/64","-32","-1/32","35/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["383/256","128","1/128","-125/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["193/128","-64","-1/64","67/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["767/512","256","1/256","-253/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["385/256","-128","-1/128","131/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["1535/1024","512","1/512","-509/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
+     '{"shape":"lower","entries":["769/512","-256","-1/256","259/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["3071/2048","1024","1/1024","-1021/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n',
+     0),
+    (['enum', '--ring', 'Z', '--matrix', '{"a":"1","c":"0","b":"0","d":"1"}',
+      '--k', '3', '--bound', '2'],
+     '{"shape":"lower","entries":["-2","0","2"],"integral":true}\n'
+     '{"shape":"lower","entries":["-1","0","1"],"integral":true}\n'
+     '{"shape":"lower","entries":["0","0","0"],"integral":true}\n'
+     '{"shape":"lower","entries":["1","0","-1"],"integral":true}\n'
+     '{"shape":"lower","entries":["2","0","-2"],"integral":true}\n',
+     0),
+    (['density', '--ring', 'Z[1/2]', '--matrix',
+      '{"a":"2","c":"3","b":"3","d":"5"}', '--k', '6', '--degree', '2', '-n',
+      '100'],
+     '{"k":6,"D":2,"monomials":28,"points":100,"nullity":3,'
+     '"baseline":3,"dense_at_D":true}\n',
+     0),
+    (['density', '--ring', 'Z[1/2]', '--k', '2', '--degree', '2', '-n',
+      '100'],
+     '{"k":2,"D":2,"monomials":6,"points":100,"nullity":1,'
+     '"baseline":1,"dense_at_D":true}\n',
+     0),
+    (['units', '--ring', 'Z[sqrt(2)]', '--modulus', '(3+2*w)', '-n', '4'],
+     '{"units":["(1+1*w)","-1","(3+2*w)","(7+5*w)"],'
+     '"finite_group":false,"stalled":[]}\n',
+     0),
+]
+
+
+def readme_cli_lines() -> list[list[str]]:
+    text = README.read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("sl2factor ")]
+
+
+def test_readme_cli_lines(capsys):
+    assert [argv for argv, _, _ in README_CLI] == readme_cli_lines()
+    for argv, stdout, code in README_CLI:
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == stdout, argv
 
 
 # -- plumbing ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sl2factor import (
     Mat2,
-    PointTuple,
+    Word,
     density_report,
     generic_unit_variety_baseline,
     generic_variety_baseline,
@@ -319,7 +319,7 @@ def test_orbit_points_match_generic_baseline(Z_half):
     # integral points produced by the window actions should impose the
     # same degree-2 conditions as generic field points of the variety
     A = Mat2(Z_half.el(2), Z_half.el(3), Z_half.el(3), Z_half.el(5))
-    seed = PointTuple("lower", els(Z_half, 1, 1, 1, 1))
+    seed = Word("lower", els(Z_half, 1, 1, 1, 1))
     pts = orbit_run(A, seed, 40).points
     baseline = generic_variety_baseline(A, 4, 2, 20, 1234)
     assert vanishing_space_dim(pts, 2) == baseline

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sl2factor
 from sl2factor import (
     Mat2,
     MembershipError,
-    PointTuple,
     Word,
     a1_families,
     act_a0,
@@ -31,7 +34,7 @@ def els(ring, *vals):
 
 
 def pt(ring, *vals):
-    return PointTuple("lower", els(ring, *vals))
+    return Word("lower", els(ring, *vals))
 
 
 # -- window modulus -------------------------------------------------------
@@ -97,7 +100,7 @@ def test_act_v_half_ring_transfer(Z_half):
 )
 def test_act_v_preserves_matrix(vals, i, num, den, shape):
     ring = make_ring("Z")
-    P = PointTuple(shape, els(ring, *vals))
+    P = Word(shape, els(ring, *vals))
     assume(window_modulus(P, i) != 0)
     Q = act_v(P, i, ring.el(num, 0, den))
     assert word_to_matrix(Word(shape, Q.entries)) == word_to_matrix(
@@ -191,7 +194,7 @@ def test_orbit_gates(Z):
 def test_orbit_rejects_non_integral_seed(Z):
     A = mat(Z, 7, 30, 10, 43)
     entries = (type(A.a)(Z, 42, 0, 30), Z.el(30), type(A.a)(Z, 6, 0, 30))
-    seed = PointTuple("lower", entries)
+    seed = Word("lower", entries)
     assert vk_membership(A, seed.entries)
     with pytest.raises(MembershipError):
         orbit_run(A, seed, 2)
@@ -257,3 +260,24 @@ def test_orbit_provenance(Z_half):
         assert rec.action in ("unit", "shear", "family")
         if rec.action == "unit":
             assert rec.window is not None and rec.parameter.is_unit()
+
+
+def package_cache_sizes() -> dict[str, int]:
+    """Entry counts of every functools cache in the package's modules,
+    found the way the benchmark's clear_caches finds them."""
+    mods = [sl2factor] + [importlib.import_module(f"sl2factor.{info.name}")
+                          for info in pkgutil.iter_modules(sl2factor.__path__)]
+    return {f"{mod.__name__}.{name}": value.cache_info().currsize
+            for mod in mods for name, value in vars(mod).items()
+            if callable(getattr(value, "cache_info", None))}
+
+
+def test_orbit_run_leaves_package_caches_alone(Z_half):
+    # unit searches are shared within one run, not kept for the process
+    before = package_cache_sizes()
+    assert before  # the scan finds the caches that remain
+    for j in range(1, 6):
+        seed = pt(Z_half, 1, j, 1, 1)
+        A = word_to_matrix(seed)
+        assert len(orbit_run(A, seed, 20).points) == 20
+    assert package_cache_sizes() == before

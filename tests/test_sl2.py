@@ -10,6 +10,7 @@ import pytest
 from sl2factor import (
     Mat2,
     RingMismatchError,
+    WORD_SHAPES,
     Word,
     elem,
     identity,
@@ -22,6 +23,7 @@ from sl2factor import (
     word_to_json,
     word_to_matrix,
 )
+from sl2factor.matrices import shape_target
 
 from conftest import assert_matches_oracle, rand_int_word, rand_matrix
 
@@ -152,6 +154,11 @@ def test_letter_kind_patterns():
 def test_word_shape_gate(Z):
     with pytest.raises(ValueError):
         Word("mixed", (Z.el(1),))
+    A = mat(Z, 2, 3, 3, 5)
+    assert shape_target(A, "lower") is A
+    assert shape_target(A, "upper") == shape_target(A, "D") == A.prime()
+    with pytest.raises(ValueError, match="unknown word shape 'mixed'"):
+        shape_target(A, "mixed")
 
 
 def test_empty_word(Z):
@@ -240,10 +247,19 @@ def test_matrix_json_rejects_bad_payloads(Z):
         matrix_from_json(Z, {"a": "1", "b": "0", "c": "0"})
 
 
-def test_word_json_round_trip(rng, Zr2):
+def test_word_json_round_trip(rng, Zr2, Z_half):
     xs = rand_int_word(rng, Zr2, 5, 4)
-    w = Word("upper", xs)
-    assert word_from_json(Zr2, word_to_json(w)) == w
+    for shape in WORD_SHAPES:
+        w = Word(shape, xs)
+        obj = word_to_json(w)
+        assert obj == {"shape": shape, "entries": [str(x) for x in xs],
+                       "integral": True}
+        assert word_from_json(Zr2, obj) == w
+    # integral is written out but not read back
+    w = Word("upper", (Z_half.el(3), Z_half.el(1, 0, 3)))
+    obj = word_to_json(w)
+    assert obj["integral"] is False  # 1/3 is not in Z[1/2]
+    assert word_from_json(Z_half, obj) == w
 
 
 def test_word_json_defaults_and_gate(Z):
@@ -251,7 +267,12 @@ def test_word_json_defaults_and_gate(Z):
 
     w = word_from_json(Z, {"entries": ["1", "2"]})
     assert w.shape == "lower"
-    with pytest.raises(ParseError):
+    # a bare list takes the default shape
+    assert word_from_json(Z, ["1", "2"]) == Word("lower", (Z.el(1), Z.el(2)))
+    assert word_from_json(Z, ["1", "2"], "D") == Word("D", (Z.el(1), Z.el(2)))
+    assert word_from_json(Z, {"entries": ["1"]}, "upper").shape == "upper"
+    with pytest.raises(ParseError, match="unknown word shape 'spiral'"):
         word_from_json(Z, {"shape": "spiral", "entries": []})
-    with pytest.raises(ParseError):
-        word_from_json(Z, ["1", "2"])
+    for bad in ({"shape": "lower"}, 5, "1", None):
+        with pytest.raises(ParseError, match="point payload must be a list"):
+            word_from_json(Z, bad)

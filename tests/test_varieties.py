@@ -13,8 +13,6 @@ from sl2factor import (
     HeightBound,
     Mat2,
     MembershipError,
-    ParseError,
-    PointTuple,
     Word,
     convert_shape,
     coordinate_box,
@@ -23,8 +21,6 @@ from sl2factor import (
     fiber_lift,
     identity,
     pad,
-    point_from_json,
-    point_to_json,
     reverse_point,
     solve_k3,
     unit_product_points,
@@ -43,34 +39,23 @@ def els(ring, *vals):
     return tuple(ring.el(v) for v in vals)
 
 
-# -- PointTuple and JSON --------------------------------------------------
+# -- Word as a point ------------------------------------------------------
 
 
 def test_point_tuple_basics(Z, Z_half):
-    P = PointTuple("lower", els(Z, 1, 1, 1, 1))
-    assert P.k == 4 and P.integral
-    Q = PointTuple("upper", (Z_half.el(1, 0, 2),))
+    P = Word("lower", els(Z, 1, 1, 1, 1))
+    assert P.k == 4 and P.integral and str(P) == "(1,1,1,1)"
+    Q = Word("upper", (Z_half.el(1, 0, 2),))
     assert Q.integral  # 1/2 lies in Z[1/2]
+    assert not Word("lower", (Z.el(1, 0, 2),)).integral  # 1/2 is not in Z
     with pytest.raises(ValueError):
-        PointTuple("spiral", ())
+        Word("spiral", ())
 
 
 def test_point_note_is_not_identity(Z):
-    P = PointTuple("lower", els(Z, 1), "scratch")
-    Q = PointTuple("lower", els(Z, 1))
+    P = Word("lower", els(Z, 1), "scratch")
+    Q = Word("lower", els(Z, 1))
     assert P == Q and hash(P) == hash(Q)
-
-
-def test_point_json_round_trip(Z_half):
-    P = PointTuple("upper", (Z_half.el(3), Z_half.el(1, 0, 2)))
-    obj = point_to_json(P)
-    assert obj["shape"] == "upper" and obj["integral"] is True
-    assert point_from_json(Z_half, obj) == P
-    assert point_from_json(Z_half, ["1", "2"]) == PointTuple(
-        "lower", els(Z_half, 1, 2)
-    )
-    with pytest.raises(ParseError):
-        point_from_json(Z_half, {"shape": "lower"})
 
 
 # -- factor_euclid --------------------------------------------------------
@@ -201,7 +186,7 @@ def test_fiber_lift_reproduces_points(rng, Z, Zr2):
 
 def test_pad_example(Z):
     A = mat(Z, 2, 1, 1, 1)
-    P = PointTuple("lower", els(Z, 0, 1, 1))
+    P = Word("lower", els(Z, 0, 1, 1))
     assert pad(P, A, 4).entries == els(Z, 0, 1, 1, 0)
     assert pad(P, A, 3) == P
     with pytest.raises(ValueError):
@@ -211,12 +196,12 @@ def test_pad_example(Z):
 def test_pad_rejects_non_members(Z):
     A = mat(Z, 2, 1, 1, 1)
     with pytest.raises(MembershipError):
-        pad(PointTuple("lower", els(Z, 1, 1, 1)), A, 5)
+        pad(Word("lower", els(Z, 1, 1, 1)), A, 5)
 
 
 def test_convert_shape_example(Z):
     A = mat(Z, 2, 3, 3, 5)
-    P = PointTuple("lower", els(Z, 1, 1, 1, 1))
+    P = Word("lower", els(Z, 1, 1, 1, 1))
     B, Q = convert_shape(P, A)
     assert B == mat(Z, 5, 3, 3, 2)
     assert Q.shape == "upper" and Q.entries == P.entries
@@ -226,7 +211,7 @@ def test_convert_shape_example(Z):
 
 def test_convert_shape_single_letter(Z):
     A = mat(Z, 1, 0, 7, 1)  # L(7)
-    B, Q = convert_shape(PointTuple("lower", els(Z, 7)), A)
+    B, Q = convert_shape(Word("lower", els(Z, 7)), A)
     assert B == mat(Z, 1, 7, 0, 1)
     assert word_to_matrix(Word("D", Q.entries)) == B
 
@@ -235,13 +220,13 @@ def test_reverse_point_examples(Z):
     xs = els(Z, 1, 2, 3, 4)
     A = word_to_matrix(Word("lower", xs))
     assert A == mat(Z, 7, 30, 10, 43)
-    B, Q = reverse_point(PointTuple("lower", xs), A)
+    B, Q = reverse_point(Word("lower", xs), A)
     assert B == mat(Z, 7, 10, 30, 43)
     assert Q.entries == xs[::-1]
 
     xs = els(Z, 0, 1, 1)
     A = word_to_matrix(Word("lower", xs))
-    B, Q = reverse_point(PointTuple("lower", xs), A)
+    B, Q = reverse_point(Word("lower", xs), A)
     assert B == mat(Z, 1, 1, 1, 2)
     assert Q.entries == els(Z, 1, 1, 0)
 
@@ -249,7 +234,7 @@ def test_reverse_point_examples(Z):
 def test_reverse_palindrome_is_fixed(Z):
     xs = els(Z, 2, 5, 2)
     A = word_to_matrix(Word("lower", xs))
-    B, Q = reverse_point(PointTuple("lower", xs), A)
+    B, Q = reverse_point(Word("lower", xs), A)
     assert Q.entries == xs
     assert B == A.star()  # palindromic odd words force A = A*
 
@@ -260,7 +245,7 @@ def test_transport_closure(rng, Z, Zr2):
             k = rng.randint(1, 7)
             xs = rand_int_word(rng, ring, k, 5)
             A = word_to_matrix(Word("lower", xs))
-            P = PointTuple("lower", xs)
+            P = Word("lower", xs)
             P2 = pad(P, A, k + 2)
             B, Q = convert_shape(P2, A)
             assert B == A.prime()
@@ -359,7 +344,7 @@ def test_enumerate_empty(Z):
 
 def test_enumerate_k0(Z):
     assert enumerate_points_bounded(identity(Z), 0, "lower", HeightBound(1)) == [
-        PointTuple("lower", ())
+        Word("lower", ())
     ]
     assert enumerate_points_bounded(mat(Z, 2, 1, 1, 1), 0, "lower",
                                     HeightBound(1)) == []
@@ -371,7 +356,7 @@ def test_enumerate_with_denominators(Z_half):
     bound = HeightBound(1, 1)
     got = enumerate_points_bounded(A, 2, "lower", bound)
     assert [P.entries for P in got] == naive_solutions(A, 2, "lower", bound)
-    assert PointTuple("lower", (Z_half.el(1, 0, 2), Z_half.el(1, 0, 2))) in got
+    assert Word("lower", (Z_half.el(1, 0, 2), Z_half.el(1, 0, 2))) in got
 
 
 def test_enumerate_quadratic(rng, Zr2):
