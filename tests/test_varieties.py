@@ -13,6 +13,7 @@ from sl2factor import (
     HeightBound,
     Mat2,
     MembershipError,
+    ParseError,
     Word,
     convert_shape,
     coordinate_box,
@@ -25,6 +26,8 @@ from sl2factor import (
     solve_k3,
     unit_product_points,
     vk_membership,
+    word_from_json,
+    word_to_json,
     word_to_matrix,
 )
 
@@ -56,6 +59,18 @@ def test_point_note_is_not_identity(Z):
     P = Word("lower", els(Z, 1), "scratch")
     Q = Word("lower", els(Z, 1))
     assert P == Q and hash(P) == hash(Q)
+
+
+def test_point_json_round_trip(Z_half):
+    P = Word("upper", (Z_half.el(3), Z_half.el(1, 0, 2)))
+    obj = word_to_json(P)
+    assert obj["shape"] == "upper" and obj["integral"] is True
+    assert word_from_json(Z_half, obj) == P
+    assert word_from_json(Z_half, ["1", "2"]) == Word(
+        "lower", els(Z_half, 1, 2)
+    )
+    with pytest.raises(ParseError):
+        word_from_json(Z_half, {"shape": "lower"})
 
 
 # -- factor_euclid --------------------------------------------------------
