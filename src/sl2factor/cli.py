@@ -85,7 +85,8 @@ def cmd_factor(args, out) -> int:
             return EXIT_EMPTY
         word = points[0]
     else:
-        word = factor_euclid(A)
+        # a lower word for shape_target(A, S) is an S-word for A
+        word = Word(args.shape, factor_euclid(shape_target(A, args.shape)).entries)
     payload = _verified_point_json(A, word)
     _emit(out, {"shape": payload["shape"], "k": word.k,
                 "entries": payload["entries"]})

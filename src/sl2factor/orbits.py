@@ -1,5 +1,5 @@
 """Window actions that move an integral solution tuple to new ones
-without changing the matrix it multiplies out to, and a breadth-first
+without changing the matrix it multiplies out to, and a height-ordered
 orbit generator built on them.
 
 A window is four consecutive coordinates (x1, x2, x3, x4) of a point;
@@ -18,6 +18,7 @@ every word shape because all shapes share the same defining equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .continuants import vk_membership
 from .matrices import Mat2, Word
@@ -126,20 +127,26 @@ def _shear_params(count: int):
         yield -j
 
 
+def _height(P: Word) -> int:
+    """Total coordinate bits: max(|a|, |b|, r) bit lengths summed."""
+    return sum(max(abs(x.a), abs(x.b), x.r).bit_length() for x in P.entries)
+
+
 def orbit_run(A: Mat2, seed: Word, n: int, *,
               units_per_window: int = 2,
               budget: int = ORBIT_BUDGET) -> OrbitRun:
-    """Breadth-first orbit of a verified integral point under the window
+    """Height-ordered orbit of a verified integral point under the window
     actions, collecting up to n distinct points.
 
-    Every window position is tried on every frontier point: nonzero
-    moduli use units congruent to 1 from the ring's generators (units
-    per window capped), zero moduli use shears with small parameters.
-    Layers are expanded in sorted coordinate order, so runs are
-    deterministic.  When the actions close up early on a length-4 word
-    with upper-left entry 1, the two explicit solution families top up
-    the set.  Children are integral members by construction; both facts
-    are still asserted on every emission.
+    The point expanded next is always the unexpanded one of least height
+    (total coordinate bits), ties going to the earlier emission, so runs
+    are deterministic and coordinates stay small.  Every window position
+    is tried on each expanded point: nonzero moduli use units congruent
+    to 1 from the ring's generators (units per window capped), zero
+    moduli use shears with small parameters.  When the actions close up
+    early on a length-4 word with upper-left entry 1, the two explicit
+    solution families top up the set.  Children are integral members by
+    construction; both facts are still asserted on every emission.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -149,7 +156,7 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
     ring = A.ring
     records = [OrbitRecord(seed, None, "seed", None)]
     seen = {seed}
-    frontier = [seed]
+    heap = [(_height(seed), 0, seed)]  # (height, emission index, point)
     stalled: list[RElem] = []
     exhausted = False
     spent = 0
@@ -163,36 +170,32 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
         if not vk_membership(A, child.entries, child.shape):
             raise AssertionError(f"orbit produced a non-member {child}")
         seen.add(child)
+        heappush(heap, (_height(child), len(records), child))
         records.append(OrbitRecord(child, window, action, parameter))
-        frontier.append(child)
         return len(records) >= n
 
-    while frontier and len(records) < n and not exhausted:
-        layer, frontier = sorted(frontier, key=lambda P: P.entries), []
-        for P in layer:
-            for i in range(1, P.k - 2):
-                if spent >= budget:
-                    exhausted = True
-                    break
-                spent += 1
-                a = window_modulus(P, i)
-                if a:
-                    found = units_for.get(a)
-                    if found is None:
-                        found = units_for[a] = units_congruent_one(
-                            ring, a, units_per_window)
-                        if found.stalled:
-                            stalled.append(a)
-                    done = any(emit(act_v(P, i, v), i, "unit", v)
-                               for v in found.units)
-                else:
-                    done = any(emit(act_a0(P, i, ring.el(u)), i, "shear", ring.el(u))
-                               for u in _shear_params(units_per_window))
-                if done:
-                    break
+    while heap and len(records) < n and not exhausted:
+        P = heappop(heap)[2]
+        for i in range(1, P.k - 2):
+            if spent >= budget:
+                exhausted = True
+                break
+            spent += 1
+            a = window_modulus(P, i)
+            if a:
+                found = units_for.get(a)
+                if found is None:
+                    found = units_for[a] = units_congruent_one(
+                        ring, a, units_per_window)
+                    if found.stalled:
+                        stalled.append(a)
+                done = any(emit(act_v(P, i, v), i, "unit", v)
+                           for v in found.units)
             else:
-                continue
-            break
+                done = any(emit(act_a0(P, i, ring.el(u)), i, "shear", ring.el(u))
+                           for u in _shear_params(units_per_window))
+            if done:
+                break
 
     if (len(records) < n and not exhausted and seed.k == 4
             and seed.shape == "lower" and A.a == 1):

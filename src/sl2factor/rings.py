@@ -459,7 +459,7 @@ def _reduced(ring: Ring, a: int, b: int, r: int) -> RElem:
     return _normal(ring, a, b, r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: d comes from user ring specs
 def _pell_min_unit(d: int) -> tuple[int, int]:
     """Smallest (x, y) with y >= 1 and x^2 - d*y^2 = 1 or -1, from the
     continued fraction expansion of sqrt(d)."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sl2factor import Word, make_ring, word_to_matrix
+from sl2factor import Mat2, Word, make_ring, vk_membership, word_to_matrix
 from sl2factor.cli import main
 
 A_2335 = '{"a":"2","c":"3","b":"3","d":"5"}'
@@ -34,6 +34,18 @@ def test_factor_example(capsys):
     assert obj["shape"] == "lower" and obj["k"] == len(obj["entries"])
     ring = make_ring("Z")
     word = Word("lower", tuple(ring.parse(v) for v in obj["entries"]))
+    got = word_to_matrix(word, ring=ring)
+    assert (str(got.a), str(got.c), str(got.b), str(got.d)) == ("2", "3", "3", "5")
+
+
+@pytest.mark.parametrize("shape", ["upper", "D"])
+def test_factor_euclid_honours_shape(capsys, shape):
+    ring = make_ring("Z")
+    code, lines, _ = run(capsys, "factor", "--ring", "Z", "--matrix", A_2335,
+                         "--shape", shape)
+    assert code == 0 and len(lines) == 1
+    assert lines[0]["shape"] == shape
+    word = Word(shape, tuple(ring.parse(v) for v in lines[0]["entries"]))
     got = word_to_matrix(word, ring=ring)
     assert (str(got.a), str(got.c), str(got.b), str(got.d)) == ("2", "3", "3", "5")
 
@@ -121,6 +133,22 @@ def test_orbit_run(capsys):
                for obj in lines)
     entries = [tuple(obj["entries"]) for obj in lines]
     assert len(set(entries)) == 5
+
+
+def test_orbit_k6_over_z_sixth_completes(capsys):
+    # every coordinate must stay printable: int->str stops at 4300 digits
+    code, lines, err = run(capsys, "orbit", "--ring", "Z[1/6]",
+                           "--matrix", A_2335,
+                           "--point", '["1","1","1","1","0","0"]', "-n", "600")
+    assert code == 0 and err == ""
+    assert len(lines) == 600
+    assert len({tuple(obj["entries"]) for obj in lines}) == 600
+    ring = make_ring("Z[1/6]")
+    A = Mat2(ring.el(2), ring.el(3), ring.el(3), ring.el(5))
+    for obj in lines:
+        P = Word(obj["shape"], tuple(ring.parse(v) for v in obj["entries"]))
+        assert P.integral and obj["integral"]
+        assert vk_membership(A, P.entries, P.shape)
 
 
 def test_orbit_closed_set_is_not_an_error(capsys):
@@ -297,39 +325,39 @@ README_CLI = [
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["2","-1","-1","2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["7/4","-2","-1/2","5/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["11/8","4","1/4","-1/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["7/4","-2","-1/2","5/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["13/8","-4","-1/4","7/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["23/16","8","1/8","-5/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["13/8","-4","-1/4","7/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["25/16","-8","-1/8","11/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["47/32","16","1/16","-13/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["25/16","-8","-1/8","11/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["49/32","-16","-1/16","19/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["95/64","32","1/32","-29/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["49/32","-16","-1/16","19/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["97/64","-32","-1/32","35/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["191/128","64","1/64","-61/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["97/64","-32","-1/32","35/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["193/128","-64","-1/64","67/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["383/256","128","1/128","-125/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["193/128","-64","-1/64","67/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["385/256","-128","-1/128","131/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["767/512","256","1/256","-253/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["385/256","-128","-1/128","131/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
+     '{"shape":"lower","entries":["769/512","-256","-1/256","259/2"],'
+     '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
      '{"shape":"lower","entries":["1535/1024","512","1/512","-509/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n'
-     '{"shape":"lower","entries":["769/512","-256","-1/256","259/2"],'
-     '"integral":true,"window":1,"action":"unit","parameter":"-1"}\n'
-     '{"shape":"lower","entries":["3071/2048","1024","1/1024","-1021/2"],'
+     '{"shape":"lower","entries":["1537/1024","-512","-1/512","515/2"],'
      '"integral":true,"window":1,"action":"unit","parameter":"2"}\n',
      0),
     (['enum', '--ring', 'Z', '--matrix', '{"a":"1","c":"0","b":"0","d":"1"}',

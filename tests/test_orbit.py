@@ -1,4 +1,4 @@
-"""Window actions and the breadth-first orbit generator."""
+"""Window actions and the height-ordered orbit generator."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from sl2factor import (
     act_v,
     make_ring,
     orbit_run,
+    pad,
     vk_membership,
     window_modulus,
     word_to_matrix,
@@ -260,6 +261,23 @@ def test_orbit_provenance(Z_half):
         assert rec.action in ("unit", "shear", "family")
         if rec.action == "unit":
             assert rec.window is not None and rec.parameter.is_unit()
+
+
+@pytest.mark.parametrize("spec, k, n, units_per_window", [
+    ("Z[1/2]", 9, 600, 1),  # criterion 9's orbit
+    ("Z[1/6]", 6, 600, 2),
+    ("Z[sqrt(2)]", 6, 300, 2),
+])
+def test_orbit_coordinates_stay_small(spec, k, n, units_per_window):
+    # expanding the least-height point first keeps every coordinate short
+    R = make_ring(spec)
+    A = mat(R, 2, 3, 3, 5)
+    run = orbit_run(A, pad(pt(R, 1, 1, 1, 1), A, k), n,
+                    units_per_window=units_per_window)
+    assert len(set(run.points)) == n and not run.exhausted
+    bits = max(max(abs(x.a), abs(x.b), x.r).bit_length()
+               for P in run.points for x in P.entries)
+    assert bits <= 64
 
 
 def package_cache_sizes() -> dict[str, int]:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sl2factor import (ParseError, RElem, RingMismatchError,
                        canonical_associate, congruent_mod, make_ring,
                        units_congruent_one)
-from sl2factor.rings import _strip_part
+from sl2factor.rings import _is_squarefree, _pell_min_unit, _strip_part
 
 COEF = st.integers(min_value=-10**6, max_value=10**6)
 DENOM = st.integers(min_value=1, max_value=10**4)
@@ -421,3 +421,14 @@ def test_canonical_associate_requires_integrality(Zr2, Z):
         canonical_associate(RElem(Zr2, 0, 1, 2))
     with pytest.raises(ValueError):
         canonical_associate(RElem(Z, 1, 0, 2))
+
+
+def test_pell_cache_is_bounded():
+    bound = _pell_min_unit.cache_info().maxsize
+    assert bound is not None
+    ds = [d for d in range(2, 10 * bound) if _is_squarefree(d)][:bound + 10]
+    assert len(ds) == bound + 10
+    for d in ds:
+        u = make_ring(f"Z[sqrt({d})]").fundamental_unit()
+        assert u.is_unit() and u > 1
+    assert _pell_min_unit.cache_info().currsize <= bound
