@@ -3,7 +3,9 @@
 Subcommands: factor, verify, orbit, enum, density, units.  Output is
 JSON lines with a fixed key order, so identical inputs and seeds give
 byte-identical output.  Every point printed anywhere is re-verified
-against the factorization equations immediately before printing.
+against the factorization equations immediately before printing.  Each
+subcommand accepts only the flags it reads (`_COMMANDS`); any other flag
+exits 1, and `sl2factor <subcommand> --help` lists them.
 
 Exit codes: 0 success, 1 invalid input, 2 empty result within the given
 bounds, 3 search budget exhausted.  Codes 2 and 3 are deliberately
@@ -50,16 +52,24 @@ def _parse_bound(text: str) -> HeightBound:
     raise ParseError(f"bad bound {text!r}: expected MAX or MAX,DENOM_EXP")
 
 
+def _json(text: str, flag: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # not a ValueError, so main would not catch it
+        raise ParseError(f"{flag} JSON is nested too deeply") from None
+
+
 def _matrix(ring, args) -> Mat2:
-    if args.matrix is None:
-        raise ParseError("--matrix is required for this subcommand")
-    return matrix_from_json(ring, json.loads(args.matrix))
+    return matrix_from_json(ring, _json(args.matrix, "--matrix"))
 
 
 def _point(ring, args) -> Word:
-    if args.point is None:
-        raise ParseError("--point is required for this subcommand")
-    return word_from_json(ring, json.loads(args.point), args.shape)
+    return word_from_json(ring, _json(args.point, "--point"), args.shape)
+
+
+def _euclid_word(A: Mat2, shape: str) -> Word:
+    # a lower word for shape_target(A, S) is an S-word for A
+    return Word(shape, factor_euclid(shape_target(A, shape)).entries)
 
 
 def _verified_point_json(A: Mat2, P: Word) -> dict:
@@ -85,8 +95,7 @@ def cmd_factor(args, out) -> int:
             return EXIT_EMPTY
         word = points[0]
     else:
-        # a lower word for shape_target(A, S) is an S-word for A
-        word = Word(args.shape, factor_euclid(shape_target(A, args.shape)).entries)
+        word = _euclid_word(A, args.shape)
     payload = _verified_point_json(A, word)
     _emit(out, {"shape": payload["shape"], "k": word.k,
                 "entries": payload["entries"]})
@@ -128,8 +137,6 @@ def cmd_orbit(args, out) -> int:
 def cmd_enum(args, out) -> int:
     ring = make_ring(args.ring)
     A = _matrix(ring, args)
-    if args.k is None or args.bound is None:
-        raise ParseError("enum needs both --k and --bound")
     points = enumerate_points_bounded(A, args.k, args.shape,
                                       _parse_bound(args.bound))
     for P in points:
@@ -139,16 +146,12 @@ def cmd_enum(args, out) -> int:
 
 def cmd_density(args, out) -> int:
     ring = make_ring(args.ring)
-    if args.k is None:
-        raise ParseError("density needs --k")
     k, degree = args.k, args.degree
     baseline_count = comb(k + degree, degree) + DENSITY_BASELINE_MARGIN
     if args.matrix is not None:
         A = _matrix(ring, args)
-        if args.point is not None:
-            seed_point = _point(ring, args)
-        else:
-            seed_point = factor_euclid(A)
+        seed_point = (_euclid_word(A, args.shape) if args.point is None
+                      else _point(ring, args))
         if seed_point.k > k:
             raise ParseError(f"seed has length {seed_point.k} > --k {k}")
         seed_point = pad(seed_point, A, k)
@@ -160,6 +163,8 @@ def cmd_density(args, out) -> int:
                                             k, degree, baseline_count,
                                             args.seed + 1)
     else:
+        if args.point is not None:
+            raise ParseError("--point needs --matrix")
         rng = random.Random(args.seed)
         points = [unit_product_points(ring, k,
                                       [ring.random_unit(rng)
@@ -173,8 +178,6 @@ def cmd_density(args, out) -> int:
 
 def cmd_units(args, out) -> int:
     ring = make_ring(args.ring)
-    if args.modulus is None:
-        raise ParseError("units needs --modulus")
     modulus = ring.parse(args.modulus)
     res = units_congruent_one(ring, modulus, args.count)
     _emit(out, {"units": [str(u) for u in res.units],
@@ -187,13 +190,50 @@ def cmd_units(args, out) -> int:
     return EXIT_OK
 
 
+# every flag any subcommand reads: option strings, add_argument keywords
+_FLAGS = {
+    "ring": (["--ring"], dict(
+        help="ring spec: Z, Z[1/m], Z[sqrt(d)], Z[sqrt(d),1/m]")),
+    "matrix": (["--matrix"], dict(
+        help='matrix JSON {"a":..,"c":..,"b":..,"d":..} (a c over b d)')),
+    "point": (["--point"], dict(
+        help="point JSON: entry list or {shape, entries}")),
+    "shape": (["--shape"], dict(
+        default="lower", choices=WORD_SHAPES,
+        help="word shape (default lower)")),
+    "k": (["--k"], dict(type=int, help="word length")),
+    "bound": (["--bound"], dict(
+        help="height box MAX or MAX,DENOM_EXP for enumeration")),
+    "degree": (["--degree"], dict(
+        type=int, default=2,
+        help="degree cap for density checks (default 2)")),
+    "count": (["--count", "-n"], dict(
+        type=int, default=10,
+        help="how many points/units to produce (default 10)")),
+    "seed": (["--seed"], dict(
+        type=int, default=0,
+        help="pseudorandom seed; fixes all sampled values")),
+    "modulus": (["--modulus"], dict(
+        help="ring element the units must be congruent to 1 against")),
+    "output": (["--output"], dict(
+        help="write JSON lines here instead of stdout")),
+}
+
+# subcommand -> (function, flags it reads besides --ring! and --output,
+# help); "!" marks a required flag
 _COMMANDS = {
-    "factor": cmd_factor,
-    "verify": cmd_verify,
-    "orbit": cmd_orbit,
-    "enum": cmd_enum,
-    "density": cmd_density,
-    "units": cmd_units,
+    "factor": (cmd_factor, "matrix! shape k bound",
+               "factor a matrix into an alternating elementary word"),
+    "verify": (cmd_verify, "matrix! point! shape",
+               "check a point against the factorization equations"),
+    "orbit": (cmd_orbit, "matrix! point! shape count",
+              "grow an orbit of integral points from a seed point"),
+    "enum": (cmd_enum, "matrix! shape k! bound!",
+             "list all points inside a height box"),
+    "density": (cmd_density, "matrix point shape k! degree count seed",
+                "degree-bounded density report for generated points"),
+    "units": (cmd_units, "modulus! count",
+              "units congruent to 1 modulo a given element"),
 }
 
 
@@ -204,40 +244,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "over S-integer rings, generate integral points of the "
                     "factorization varieties, and certify density.")
     sub = top.add_subparsers(dest="command", required=True)
-    specs = {
-        "factor": "factor a matrix into an alternating elementary word",
-        "verify": "check a point against the factorization equations",
-        "orbit": "grow an orbit of integral points from a seed point",
-        "enum": "list all points inside a height box",
-        "density": "degree-bounded density report for generated points",
-        "units": "units congruent to 1 modulo a given element",
-    }
-    for name, help_text in specs.items():
+    for name, (func, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--ring", required=True,
-                       help="ring spec: Z, Z[1/m], Z[sqrt(d)], Z[sqrt(d),1/m]")
-        p.add_argument("--matrix", help='matrix JSON {"a":..,"c":..,"b":..,"d":..}'
-                                        " (a c over b d)")
-        p.add_argument("--point",
-                       help="point JSON: entry list or {shape, entries}")
-        p.add_argument("--shape", default="lower",
-                       choices=WORD_SHAPES,
-                       help="word shape (default lower)")
-        p.add_argument("--k", type=int, help="word length")
-        p.add_argument("--bound",
-                       help="height box MAX or MAX,DENOM_EXP for enumeration")
-        p.add_argument("--degree", type=int, default=2,
-                       help="degree cap for density checks (default 2)")
-        p.add_argument("--count", "-n", type=int, default=10,
-                       help="how many points/units to produce (default 10)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="pseudorandom seed; fixes all sampled values")
-        p.add_argument("--output",
-                       help="write JSON lines here instead of stdout")
-        if name == "units":
-            p.add_argument("--modulus", help="ring element the units must "
-                                             "be congruent to 1 against")
-        p.set_defaults(func=_COMMANDS[name])
+        for flag in ("ring!", *flags.split(), "output"):
+            names, kwargs = _FLAGS[flag.rstrip("!")]
+            p.add_argument(*names, required=flag.endswith("!"), **kwargs)
+        p.set_defaults(func=func)
     return top
 
 

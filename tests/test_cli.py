@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,8 @@ from sl2factor.cli import main
 
 A_2335 = '{"a":"2","c":"3","b":"3","d":"5"}'
 IDENTITY = '{"a":"1","c":"0","b":"0","d":"1"}'
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
@@ -248,6 +253,34 @@ def test_density_baseline_follows_seed_shape(capsys):
     assert code == 0 and err == "" and lines[0]["dense_at_D"] is True
 
 
+@pytest.mark.parametrize("shape", ["upper", "D"])
+def test_density_euclid_seed_honours_shape(capsys, shape):
+    # without --point the seed is the Euclid word of the requested shape,
+    # which for (2 3; 3 5) has length 8 (the lower one has length 5)
+    argv = ["density", "--ring", "Z[1/2]", "--matrix", A_2335, "-n", "100",
+            "--shape", shape]
+    code, lines, err = run(capsys, *argv, "--k", "6")
+    assert code == 1 and not lines and "seed has length 8 > --k 6" in err
+    code, lines, _ = run(capsys, "factor", "--ring", "Z", "--matrix", A_2335,
+                         "--shape", shape)
+    assert code == 0 and lines[0]["k"] == 8
+    word = json.dumps(lines[0]["entries"])
+    assert main([*argv, "--k", "8"]) == 0
+    seedless = capsys.readouterr().out
+    assert main([*argv, "--k", "8", "--point", word]) == 0
+    assert capsys.readouterr().out == seedless == (
+        '{"k":8,"D":2,"monomials":45,"points":100,"nullity":0,'
+        '"baseline":0,"dense_at_D":true}\n')
+
+
+def test_density_unit_mode_rejects_point(capsys):
+    code, lines, err = run(capsys, "density", "--ring", "Z[1/2]", "--k", "2",
+                           "--point", '["9","9"]')
+    assert code == 1 and not lines
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--point" in err
+
+
 def test_density_needs_k(capsys):
     code, _, err = run(capsys, "density", "--ring", "Z[1/2]")
     assert code == 1 and "--k" in err
@@ -445,6 +478,87 @@ def test_invalid_inputs(capsys):
 
     code, _, err = run(capsys, "verify", "--ring", "Z", "--matrix", IDENTITY)
     assert code == 1 and "--point" in err
+
+
+@pytest.mark.parametrize("flag", ["--matrix", "--point"])
+def test_deeply_nested_json_is_invalid_input(capsys, flag):
+    deep = "[" * 200_000
+    if flag == "--matrix":
+        code = main(["factor", "--ring", "Z", "--matrix", deep])
+    else:
+        code = main(["verify", "--ring", "Z", "--matrix", IDENTITY,
+                     "--point", deep])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert flag in captured.err
+
+
+# every flag the parser knows, with a well-formed value
+FLAG_VALUES = {
+    "--ring": "Z", "--matrix": IDENTITY, "--point": "[]", "--shape": "lower",
+    "--k": "3", "--bound": "1", "--degree": "2", "--count": "3",
+    "--seed": "1", "--output": "unused.jsonl", "--modulus": "3",
+}
+
+# subcommand -> (a valid invocation, the flags it reads; "!" marks required)
+FLAG_TABLE = {
+    "factor": (["--ring", "Z", "--matrix", A_2335],
+               "--ring! --matrix! --shape --k --bound --output"),
+    "verify": (["--ring", "Z", "--matrix", IDENTITY, "--point", "[]"],
+               "--ring! --matrix! --point! --shape --output"),
+    "orbit": (["--ring", "Z[1/2]", "--matrix", A_2335,
+               "--point", '["1","1","1","1"]', "-n", "2"],
+              "--ring! --matrix! --point! --shape --count --output"),
+    "enum": (["--ring", "Z", "--matrix", IDENTITY, "--k", "3", "--bound", "1"],
+             "--ring! --matrix! --shape --k! --bound! --output"),
+    "density": (["--ring", "Z[1/2]", "--k", "2", "-n", "8"],
+                "--ring! --matrix --point --shape --k! --degree --count "
+                "--seed --output"),
+    "units": (["--ring", "Z[1/2]", "--modulus", "8", "-n", "2"],
+              "--ring! --modulus! --count --output"),
+}
+
+
+def test_subcommands_accept_only_their_flags(capsys):
+    pairs = 0
+    for sub, (valid, row) in FLAG_TABLE.items():
+        accepted = {f.rstrip("!") for f in row.split()}
+        assert main([sub, *valid]) == 0, sub
+        capsys.readouterr()
+        rejected = [f for f in FLAG_VALUES if f not in accepted]
+        if "--count" not in accepted:
+            rejected.append("-n")
+        for flag in rejected:
+            code, lines, err = run(capsys, sub, *valid, flag,
+                                   FLAG_VALUES.get(flag, "3"))
+            assert code == 1 and not lines, (sub, flag)
+            assert flag in err.splitlines()[-1], (sub, flag)
+        for flag in (f[:-1] for f in row.split() if f.endswith("!")):
+            i = valid.index(flag)
+            code, lines, err = run(capsys, sub, *valid[:i], *valid[i + 2:])
+            assert code == 1 and not lines, (sub, flag)
+            assert "required: " + flag in err, (sub, flag)
+        assert main([sub, "--help"]) == 0
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"^  (--?\w+)", text, re.M)) - {"-h"}
+        assert listed == accepted, sub
+        assert ("-n COUNT" in text) == ("--count" in accepted), sub
+        pairs += len(listed)
+    assert pairs == 36
+
+
+def test_module_entrypoint_exit_codes():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv, stdout, code = README_CLI[0]
+    cmd = [sys.executable, "-m", "sl2factor.cli", *argv]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (code, stdout)
+    done = subprocess.run([*cmd, "--seed", "1"], capture_output=True,
+                          text=True, env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "--seed" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_argparse_exits_are_mapped(capsys):
