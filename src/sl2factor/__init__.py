@@ -5,7 +5,8 @@ factorization varieties, and degree-bounded density certificates.
 All arithmetic is exact: ring elements are (a + b*sqrt(d))/r with Python
 integers, matrices live over those elements, and every rank and kernel
 is certified exactly: full rank modulo a prime is a proof, anything less
-is verified against every row, with an exact fraction-free fallback.
+is verified against every row, with exact Gauss-Jordan elimination over
+the fraction field as the fallback.
 There is no floating point anywhere in the package.
 """
 

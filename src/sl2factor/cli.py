@@ -17,19 +17,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from math import comb
 
 from .continuants import membership_residuals, vk_membership
 from .density import (density_report, generic_unit_variety_baseline,
-                      generic_variety_baseline)
+                      generic_variety_baseline, random_unit_points)
 from .matrices import (WORD_SHAPES, Mat2, Word, matrix_from_json,
                        shape_target, word_from_json, word_to_json)
 from .orbits import orbit_run
 from .rings import ParseError, make_ring, units_congruent_one
 from .varieties import (BudgetError, HeightBound, enumerate_points_bounded,
-                        factor_euclid, pad, unit_product_points)
+                        factor_euclid, pad)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -147,11 +146,14 @@ def cmd_enum(args, out) -> int:
 def cmd_density(args, out) -> int:
     ring = make_ring(args.ring)
     k, degree = args.k, args.degree
+    if degree < 1:
+        raise ParseError(f"--degree must be at least 1, got {degree}")
     baseline_count = comb(k + degree, degree) + DENSITY_BASELINE_MARGIN
     if args.matrix is not None:
         A = _matrix(ring, args)
-        seed_point = (_euclid_word(A, args.shape) if args.point is None
-                      else _point(ring, args))
+        shape = args.shape or "lower"
+        seed_point = (_euclid_word(A, shape) if args.point is None else
+                      word_from_json(ring, _json(args.point, "--point"), shape))
         if seed_point.k > k:
             raise ParseError(f"seed has length {seed_point.k} > --k {k}")
         seed_point = pad(seed_point, A, k)
@@ -163,13 +165,10 @@ def cmd_density(args, out) -> int:
                                             k, degree, baseline_count,
                                             args.seed + 1)
     else:
-        if args.point is not None:
-            raise ParseError("--point needs --matrix")
-        rng = random.Random(args.seed)
-        points = [unit_product_points(ring, k,
-                                      [ring.random_unit(rng)
-                                       for _ in range(k - 1)])
-                  for _ in range(args.count)]
+        for flag in ("point", "shape"):
+            if getattr(args, flag) is not None:
+                raise ParseError(f"--{flag} needs --matrix")
+        points = random_unit_points(ring, k, args.count, args.seed)
         baseline = generic_unit_variety_baseline(ring, k, degree,
                                                  baseline_count, args.seed + 1)
     _emit(out, density_report(points, degree, baseline=baseline))
@@ -220,7 +219,8 @@ _FLAGS = {
 }
 
 # subcommand -> (function, flags it reads besides --ring! and --output,
-# help); "!" marks a required flag
+# help); "!" marks a required flag, "?" one that defaults to None so the
+# command can tell whether it was given
 _COMMANDS = {
     "factor": (cmd_factor, "matrix! shape k bound",
                "factor a matrix into an alternating elementary word"),
@@ -230,7 +230,7 @@ _COMMANDS = {
               "grow an orbit of integral points from a seed point"),
     "enum": (cmd_enum, "matrix! shape k! bound!",
              "list all points inside a height box"),
-    "density": (cmd_density, "matrix point shape k! degree count seed",
+    "density": (cmd_density, "matrix point shape? k! degree count seed",
                 "degree-bounded density report for generated points"),
     "units": (cmd_units, "modulus! count",
               "units congruent to 1 modulo a given element"),
@@ -247,7 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (func, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in ("ring!", *flags.split(), "output"):
-            names, kwargs = _FLAGS[flag.rstrip("!")]
+            names, kwargs = _FLAGS[flag.rstrip("!?")]
+            if flag.endswith("?"):
+                kwargs = {**kwargs, "default": None}
             p.add_argument(*names, required=flag.endswith("!"), **kwargs)
         p.set_defaults(func=func)
     return top

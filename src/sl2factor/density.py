@@ -15,8 +15,8 @@ basis is lifted by rational reconstruction (through both embeddings
 w -> s and w -> -s in quadratic rings) and every lifted vector is
 checked exactly against every row: that many independent kernel vectors
 bound the exact rank from above, so the nullity is proven both ways.
-When a lift fails that check, one exact fraction-free elimination
-decides.  There is no floating point anywhere.
+When a lift fails that check, one exact Gauss-Jordan elimination over
+the fraction field decides.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -77,20 +77,16 @@ def monomial_matrix(points: Sequence, degree: int) -> tuple[list[list[RElem]], l
     if any(len(e) != k for e in rows_in):
         raise ValueError("points of mixed lengths")
     exps = monomial_exponents(k, degree)
+    # every later monomial is an earlier one times its first variable
+    index = {e: j for j, e in enumerate(exps)}
+    firsts = [next(i for i, ei in enumerate(e) if ei) for e in exps[1:]]
+    steps = [(index[e[:i] + (e[i] - 1,) + e[i + 1:]], i)
+             for e, i in zip(exps[1:], firsts)]
     rows = []
     for entries in rows_in:
-        one = entries[0].ring.one
-        pows = [[one] for _ in range(k)]
-        for i, x in enumerate(entries):
-            for _ in range(degree):
-                pows[i].append(pows[i][-1] * x)
-        row = []
-        for e in exps:
-            val = one
-            for i, ei in enumerate(e):
-                if ei:
-                    val = val * pows[i][ei]
-            row.append(val)
+        row = [entries[0].ring.one]
+        for parent, i in steps:
+            row.append(row[parent] * entries[i])
         rows.append(row)
     return rows, exps
 
@@ -151,27 +147,30 @@ def _prime_for(ring: Ring, dens) -> tuple[int, int]:
         p -= 4
 
 
-def _rref_mod(rows, ncols: int, p: int, s: int, inv: dict):
-    """Pivot columns and reduced row echelon rows of the image of `rows`
-    under w -> s over F_p (`inv` maps each denominator to its inverse).
-    Rows are inserted one at a time, so the pass stops as soon as every
-    column has a pivot."""
-    reduced: dict[int, list[int]] = {}  # pivot column -> row, 1 at pivot
-    for row in rows:
-        v = [(x.a + x.b * s) * inv[x.r] % p for x in row]
+def _rref(rows, ncols: int, p: int | None = None):
+    """Pivot columns and reduced row echelon rows of `rows`: residue rows
+    over F_p when `p` is given, `RElem` rows over the fraction field
+    otherwise.  Rows are inserted one at a time, so the pass stops as
+    soon as every column has a pivot."""
+
+    def sub(v, f, w):  # v - f*w
+        if p is None:
+            return [x - f * y for x, y in zip(v, w)]
+        return [(x - f * y) % p for x, y in zip(v, w)]
+
+    reduced: dict[int, list] = {}  # pivot column -> row, 1 at pivot
+    for v in rows:
         for c, prow in reduced.items():
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, prow)]
+            if v[c]:
+                v = sub(v, v[c], prow)
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             continue
-        scale = pow(v[lead], -1, p)
-        v = [x * scale % p for x in v]
+        scale = v[lead].inverse() if p is None else pow(v[lead], -1, p)
+        v = [x * scale for x in v] if p is None else [x * scale % p for x in v]
         for c, prow in reduced.items():
-            f = prow[lead]
-            if f:
-                reduced[c] = [(x - f * y) % p for x, y in zip(prow, v)]
+            if prow[lead]:
+                reduced[c] = sub(prow, prow[lead], v)
         reduced[lead] = v
         if len(reduced) == ncols:
             break
@@ -238,35 +237,6 @@ def _annihilates(basis, rows, d: int) -> bool:
     return True
 
 
-def _rref_exact(rows, ncols: int):
-    """Pivot columns and reduced row echelon rows by one fraction-free
-    Gauss-Jordan pass (Bareiss 1968) over the cleared rows: every
-    elimination step divides by the previous pivot, which keeps entries
-    in the ring, and the final rows are divided by the last pivot."""
-    ring = rows[0][0].ring
-    M = [[RElem(ring, a, b) for a, b in _integral_pairs(row)] for row in rows]
-    prev = ring.one
-    pivots: list[int] = []
-    for c in range(ncols):
-        top = len(pivots)
-        if top == len(M):
-            break
-        piv = next((i for i in range(top, len(M)) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[top], M[piv] = M[piv], M[top]
-        prow = M[top]
-        lead = prow[c]
-        for i, row in enumerate(M):
-            if i != top:
-                fac = row[c]
-                M[i] = [(lead * x - fac * y) / prev for x, y in zip(row, prow)]
-        prev = lead
-        pivots.append(c)
-    scale = prev.inverse()
-    return pivots, [[x * scale for x in M[i]] for i in range(len(pivots))]
-
-
 def _kernel_basis(ring: Ring, pivots, R, ncols: int) -> list[list[RElem]]:
     """Kernel basis read off reduced row echelon rows R with the given
     pivot columns."""
@@ -292,19 +262,23 @@ def certified_kernel(rows: list[list[RElem]], ncols: int) -> Kernel:
     dens = {x.r for row in rows for x in row}
     p, s = _prime_for(ring, dens)
     inv = {r: pow(r, -1, p) for r in dens}
-    pivots, R = _rref_mod(rows, ncols, p, s, inv)
+
+    def image(t):  # rows under w -> t, mod p
+        for row in rows:
+            yield [(x.a + x.b * t) * inv[x.r] % p for x in row]
+
+    pivots, R = _rref(image(s), ncols, p)
     if len(pivots) == ncols:
         return Kernel(ncols, tuple(pivots), [], p, "modular")
     # with ncols - rank_p exactly verified kernel vectors, rank_Q <=
     # rank_p <= rank_Q, and the vectors have the unique reduced form
-    conj_pivots, R_conj = (_rref_mod(rows, ncols, p, p - s, inv) if s
-                           else (pivots, R))
+    conj_pivots, R_conj = _rref(image(p - s), ncols, p) if s else (pivots, R)
     lifted = _lift_rows(ring, R, R_conj, p, s) if conj_pivots == pivots else None
     if lifted is not None:
         basis = _kernel_basis(ring, pivots, lifted, ncols)
         if _annihilates(basis, rows, ring.d or 0):
             return Kernel(len(pivots), tuple(pivots), basis, p, "lifted")
-    pivots, R = _rref_exact(rows, ncols)
+    pivots, R = _rref(rows, ncols)
     return Kernel(len(pivots), tuple(pivots), _kernel_basis(ring, pivots, R, ncols),
                   p, "exact")
 
@@ -368,12 +342,14 @@ def generic_variety_baseline(A, k: int, degree: int, count: int, seed: int) -> i
     return vanishing_space_dim(pts, degree)
 
 
+def random_unit_points(ring: Ring, k: int, count: int, seed: int) -> list[tuple[RElem, ...]]:
+    """`count` pseudorandom points of the unit-product variety x1*...*xk = 1."""
+    rng = random.Random(seed)
+    return [unit_product_points(ring, k, [ring.random_unit(rng) for _ in range(k - 1)])
+            for _ in range(count)]
+
+
 def generic_unit_variety_baseline(ring: Ring, k: int, degree: int, count: int,
                                   seed: int) -> int:
-    """Baseline nullity for the unit-product variety x1*...*xk = 1 from
-    pseudorandom unit tuples."""
-    rng = random.Random(seed)
-    pts = [unit_product_points(ring, k,
-                               [ring.random_unit(rng) for _ in range(k - 1)])
-           for _ in range(count)]
-    return vanishing_space_dim(pts, degree)
+    """Baseline nullity for the unit-product variety from random unit points."""
+    return vanishing_space_dim(random_unit_points(ring, k, count, seed), degree)

@@ -281,6 +281,26 @@ def test_density_unit_mode_rejects_point(capsys):
     assert "--point" in err
 
 
+@pytest.mark.parametrize("shape", ["lower", "upper", "D"])
+def test_density_unit_mode_rejects_shape(capsys, shape):
+    code, lines, err = run(capsys, "density", "--ring", "Z[1/2]", "--k", "2",
+                           "-n", "8", "--shape", shape)
+    assert code == 1 and not lines
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--shape" in err
+
+
+@pytest.mark.parametrize("mode", [["--k", "2"], ["--matrix", A_2335, "--k", "6"]],
+                         ids=["unit", "matrix"])
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_density_rejects_degree_below_one(capsys, mode, degree):
+    code, lines, err = run(capsys, "density", "--ring", "Z[1/2]", *mode,
+                           "-n", "8", "--degree", degree)
+    assert code == 1 and not lines
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--degree" in err
+
+
 def test_density_needs_k(capsys):
     code, _, err = run(capsys, "density", "--ring", "Z[1/2]")
     assert code == 1 and "--k" in err

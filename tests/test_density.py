@@ -13,16 +13,18 @@ from sl2factor import (
     Mat2,
     Word,
     density_report,
+    factor_euclid,
     generic_unit_variety_baseline,
     generic_variety_baseline,
     make_ring,
     monomial_exponents,
     monomial_matrix,
     orbit_run,
+    pad,
     vanishing_basis,
     vanishing_space_dim,
 )
-from sl2factor.density import certified_kernel
+from sl2factor.density import certified_kernel, random_unit_points
 
 
 def els(ring, *vals):
@@ -58,6 +60,32 @@ def test_monomial_matrix_row(Z):
     rows, exps = monomial_matrix([els(Z, 2, 3)], 2)
     assert exps == monomial_exponents(2, 2)
     assert [x.a for x in rows[0]] == [1, 2, 3, 4, 6, 9]
+
+
+@st.composite
+def monomial_inputs(draw):
+    ring = make_ring(draw(st.sampled_from(KERNEL_RINGS)))
+    k = draw(st.integers(1, 4))
+    coef_b = st.integers(-5, 5) if ring.is_quadratic else st.just(0)
+    points = [tuple(ring.el(draw(st.integers(-5, 5)), draw(coef_b),
+                            draw(st.integers(1, 4))) for _ in range(k))
+              for _ in range(draw(st.integers(1, 3)))]
+    return points, draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_inputs())
+def test_monomial_matrix_entries_are_products(data):
+    points, degree = data
+    rows, exps = monomial_matrix(points, degree)
+    assert exps == monomial_exponents(len(points[0]), degree)
+    for P, row in zip(points, rows):
+        assert len(row) == len(exps)
+        for e, val in zip(exps, row):
+            want = P[0].ring.one
+            for x, ei in zip(P, e):
+                want = want * x ** ei
+            assert val == want
 
 
 def test_monomial_matrix_gates(Z):
@@ -191,6 +219,18 @@ def test_kernel_unliftable_entries_are_exact(Z):
     assert got.basis == [[Z.el(big), Z.one]]
 
 
+def test_kernel_exact_path_at_evaluation_size(Z_half):
+    # an evaluation matrix of orbit points whose kernel entries are too
+    # large to reconstruct from one prime, so the exact elimination runs
+    A = Mat2(Z_half.el(2), Z_half.el(3), Z_half.el(3), Z_half.el(5))
+    pts = orbit_run(A, pad(factor_euclid(A), A, 6), 60).points
+    rows, exps = monomial_matrix(pts, 2)
+    big = Z_half.el(3**60)
+    rows = [[x * big if j == 1 else x for j, x in enumerate(row)] for row in rows]
+    got = assert_kernel_matches_gauss(rows, len(exps))
+    assert got.method == "exact" and got.rank == 25
+
+
 def test_kernel_fast_paths(Z, Zr2):
     full = certified_kernel([[Z.el(1), Z.el(2)], [Z.el(3), Z.el(4)]], 2)
     assert (full.rank, full.method, full.basis) == (2, "modular", [])
@@ -313,6 +353,15 @@ def test_generic_baselines_deterministic(Z_half):
     u1 = generic_unit_variety_baseline(Z_half, 2, 2, 8, 5)
     assert u1 == generic_unit_variety_baseline(Z_half, 2, 2, 8, 5)
     assert u1 == 1  # the curve x1*x2 = 1 carries exactly one quadric
+
+
+def test_random_unit_points(Z_half):
+    pts = random_unit_points(Z_half, 3, 5, 7)
+    assert pts == random_unit_points(Z_half, 3, 5, 7)
+    assert len(pts) == 5 and all(len(P) == 3 for P in pts)
+    for P in pts:
+        assert all(x.is_unit() for x in P)
+        assert P[0] * P[1] * P[2] == 1
 
 
 def test_orbit_points_match_generic_baseline(Z_half):
