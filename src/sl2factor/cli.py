@@ -148,29 +148,35 @@ def cmd_density(args, out) -> int:
     k, degree = args.k, args.degree
     if degree < 1:
         raise ParseError(f"--degree must be at least 1, got {degree}")
-    baseline_count = comb(k + degree, degree) + DENSITY_BASELINE_MARGIN
-    if args.matrix is not None:
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
+    # every flag is checked before any orbit or baseline work
+    if args.matrix is None:
+        for flag in ("point", "shape"):
+            if getattr(args, flag) is not None:
+                raise ParseError(f"--{flag} needs --matrix")
+        if k < 2:
+            raise ParseError(f"--k must be at least 2 without --matrix, got {k}")
+    else:
         A = _matrix(ring, args)
         shape = args.shape or "lower"
         seed_point = (_euclid_word(A, shape) if args.point is None else
                       word_from_json(ring, _json(args.point, "--point"), shape))
         if seed_point.k > k:
             raise ParseError(f"seed has length {seed_point.k} > --k {k}")
+    baseline_count = comb(k + degree, degree) + DENSITY_BASELINE_MARGIN
+    if args.matrix is None:
+        points = random_unit_points(ring, k, args.count, args.seed)
+        baseline = generic_unit_variety_baseline(ring, k, degree,
+                                                 baseline_count, args.seed + 1)
+    else:
         seed_point = pad(seed_point, A, k)
-        run = orbit_run(A, seed_point, args.count)
-        points = run.points
+        points = orbit_run(A, seed_point, args.count).points
         # upper and D points of A are lower points of A.prime(), and the
         # baseline samples lower points
         baseline = generic_variety_baseline(shape_target(A, seed_point.shape),
                                             k, degree, baseline_count,
                                             args.seed + 1)
-    else:
-        for flag in ("point", "shape"):
-            if getattr(args, flag) is not None:
-                raise ParseError(f"--{flag} needs --matrix")
-        points = random_unit_points(ring, k, args.count, args.seed)
-        baseline = generic_unit_variety_baseline(ring, k, degree,
-                                                 baseline_count, args.seed + 1)
     _emit(out, density_report(points, degree, baseline=baseline))
     return EXIT_OK
 

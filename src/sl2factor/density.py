@@ -5,36 +5,41 @@ at most D vanishes on it beyond the ones forced by the ambient variety:
 the nullity of the monomial evaluation matrix must match a baseline
 computed from generic field-valued samples.
 
-Rank, pivot columns and kernel basis all come from one certified kernel,
-`certified_kernel`.  It maps the matrix into F_p by the ring
-homomorphism (a + b*w)/r -> (a + b*s) * r^-1 mod p, where p is a fixed
-61-bit prime dividing neither m nor any denominator and s^2 = d mod p,
-and runs Gauss-Jordan elimination there.  A ring map never raises rank,
-so full rank mod p is a proof of full rank.  Otherwise the mod-p kernel
-basis is lifted by rational reconstruction (through both embeddings
-w -> s and w -> -s in quadratic rings) and every lifted vector is
-checked exactly against every row: that many independent kernel vectors
-bound the exact rank from above, so the nullity is proven both ways.
-When a lift fails that check, one exact Gauss-Jordan elimination over
-the fraction field decides.  There is no floating point anywhere.
+Rank, pivot columns and kernel basis all come from one certified kernel
+(`_certify`, behind `certified_kernel` for a given matrix and behind
+`vanishing_space_dim` and `vanishing_basis` for a point set).  It maps
+the matrix into F_p by the ring homomorphism
+(a + b*w)/r -> (a + b*s) * r^-1 mod p, where p is a fixed 61-bit prime
+dividing neither m nor any denominator and s^2 = d mod p, and runs
+Gauss-Jordan elimination there.  For a point set the rows mod p come
+from the coordinates: each point's coordinates are mapped into F_p once
+and its monomials are formed mod p, one row at a time as the
+elimination asks for them, so rows past full rank are never built.  A
+ring map never raises rank, so full rank mod p is a proof of full rank.
+Otherwise the exact rows are built, the mod-p kernel basis is lifted by
+rational reconstruction (through both embeddings w -> s and w -> -s in
+quadratic rings) and every lifted vector is checked exactly against
+every row: that many independent kernel vectors bound the exact rank
+from above, so the nullity is proven both ways.  When a lift fails that
+check, one exact Gauss-Jordan elimination over the fraction field
+decides.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from math import comb, gcd, isqrt, lcm
 from typing import NamedTuple, Sequence
 
 from .matrices import Word
-from .rings import RElem, Ring
+from .rings import RElem, Ring, _is_prime
 from .varieties import fiber_lift, unit_product_points
 
 BASELINE_TAIL_SPAN = 40
 # the prime search walks down from 2^61 - 1 through p = 3 mod 4, where
 # d^((p+1)/4) is a square root of any square d
 _PRIME_START = 2**61 - 1
-# Miller-Rabin with these bases is deterministic below 3.3 * 10^24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def monomial_exponents(k: int, degree: int) -> list[tuple[int, ...]]:
@@ -67,14 +72,16 @@ def _point_entries(P) -> tuple[RElem, ...]:
     return tuple(P)
 
 
-def monomial_matrix(points: Sequence, degree: int) -> tuple[list[list[RElem]], list[tuple[int, ...]]]:
-    """Evaluation matrix (one row per point, one column per monomial)
-    together with the exponent order defining the columns."""
+def _evaluation_plan(points: Sequence, degree: int) -> tuple[
+        list[tuple[RElem, ...]], list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Coordinate tuples of `points`, the monomial exponent order, and
+    the step table that builds monomial j + 1 as monomial `parent` times
+    variable `i`, for each pair (parent, i) in order."""
     if not points:
         raise ValueError("need at least one point")
-    rows_in = [_point_entries(P) for P in points]
-    k = len(rows_in[0])
-    if any(len(e) != k for e in rows_in):
+    coords = [_point_entries(P) for P in points]
+    k = len(coords[0])
+    if any(len(e) != k for e in coords):
         raise ValueError("points of mixed lengths")
     exps = monomial_exponents(k, degree)
     # every later monomial is an earlier one times its first variable
@@ -82,11 +89,18 @@ def monomial_matrix(points: Sequence, degree: int) -> tuple[list[list[RElem]], l
     firsts = [next(i for i, ei in enumerate(e) if ei) for e in exps[1:]]
     steps = [(index[e[:i] + (e[i] - 1,) + e[i + 1:]], i)
              for e, i in zip(exps[1:], firsts)]
+    return coords, exps, steps
+
+
+def monomial_matrix(points: Sequence, degree: int) -> tuple[list[list[RElem]], list[tuple[int, ...]]]:
+    """Evaluation matrix (one row per point, one column per monomial)
+    together with the exponent order defining the columns."""
+    coords, exps, steps = _evaluation_plan(points, degree)
     rows = []
-    for entries in rows_in:
-        row = [entries[0].ring.one]
+    for xs in coords:
+        row = [xs[0].ring.one]
         for parent, i in steps:
-            row.append(row[parent] * entries[i])
+            row.append(row[parent] * xs[i])
         rows.append(row)
     return rows, exps
 
@@ -112,27 +126,6 @@ class Kernel(NamedTuple):
     method: str
 
 
-def _is_prime(n: int) -> bool:
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    e, s = n - 1, 0
-    while not e & 1:
-        e >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, e, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _prime_for(ring: Ring, dens) -> tuple[int, int]:
     """First prime p = 3 mod 4 down from _PRIME_START that divides
     neither m nor any of `dens`, and modulo which d is a nonzero square;
@@ -150,32 +143,60 @@ def _prime_for(ring: Ring, dens) -> tuple[int, int]:
 def _rref(rows, ncols: int, p: int | None = None):
     """Pivot columns and reduced row echelon rows of `rows`: residue rows
     over F_p when `p` is given, `RElem` rows over the fraction field
-    otherwise.  Rows are inserted one at a time, so the pass stops as
-    soon as every column has a pivot."""
+    otherwise.
 
-    def sub(v, f, w):  # v - f*w
-        if p is None:
+    Rows are inserted one at a time.  Each is reduced against the
+    echelon rows in pivot order, which leaves it zero at every pivot, so
+    its first nonzero entry is a new pivot.  The pass stops as soon as
+    every column has a pivot, and later rows are never read; the reduced
+    form is then the identity.  Below full rank one back pass at the end
+    clears every pivot column above its pivot."""
+    if p is None:
+        def sub(v, f, w):  # v - f*w
             return [x - f * y for x, y in zip(v, w)]
-        return [(x - f * y) % p for x, y in zip(v, w)]
 
-    reduced: dict[int, list] = {}  # pivot column -> row, 1 at pivot
+        def monic(v):
+            scale = v[0].inverse()
+            return [x * scale for x in v]
+    else:
+        def sub(v, f, w):
+            return [(x - f * y) % p for x, y in zip(v, w)]
+
+        def monic(v):
+            scale = pow(v[0], -1, p)
+            return [x * scale % p for x in v]
+
+    # (pivot, tail) in pivot order; tail is the row from its pivot on,
+    # starting with 1, and the row is 0 before its pivot
+    echelon: list = []
     for v in rows:
-        for c, prow in reduced.items():
-            if v[c]:
-                v = sub(v, v[c], prow)
+        for c, tail in echelon:
+            f = v[c]
+            if f:
+                v = v[:c] + sub(v[c:], f, tail)
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             continue
-        scale = v[lead].inverse() if p is None else pow(v[lead], -1, p)
-        v = [x * scale for x in v] if p is None else [x * scale % p for x in v]
-        for c, prow in reduced.items():
-            if prow[lead]:
-                reduced[c] = sub(prow, prow[lead], v)
-        reduced[lead] = v
-        if len(reduced) == ncols:
+        insort(echelon, (lead, monic(v[lead:])))
+        if len(echelon) == ncols:
             break
-    pivots = sorted(reduced)
-    return pivots, [reduced[c] for c in pivots]
+    pivots = [c for c, _ in echelon]
+    if not echelon:
+        return pivots, []
+    one = echelon[0][1][0]
+    zero = one - one
+    if len(echelon) == ncols:
+        return pivots, [[one if i == j else zero for j in range(ncols)]
+                        for i in range(ncols)]
+    tails = [tail for _, tail in echelon]
+    for i in range(len(echelon) - 1, 0, -1):
+        c = pivots[i]
+        for h in range(i):
+            at = c - pivots[h]
+            f = tails[h][at]
+            if f:
+                tails[h][at:] = sub(tails[h][at:], f, tails[i])
+    return pivots, [[zero] * c + tail for c, tail in echelon]
 
 
 def _ratrecon(u: int, p: int) -> tuple[int, int] | None:
@@ -253,26 +274,26 @@ def _kernel_basis(ring: Ring, pivots, R, ncols: int) -> list[list[RElem]]:
     return basis
 
 
-def certified_kernel(rows: list[list[RElem]], ncols: int) -> Kernel:
-    """Exact rank, pivot columns and reduced-row-echelon kernel basis of
-    a nonempty matrix, certified as described in the module docstring."""
-    if not rows:
-        raise ValueError("need at least one row")
-    ring = rows[0][0].ring
-    dens = {x.r for row in rows for x in row}
+def _certify(ring: Ring, dens, ncols: int, image, exact_rows) -> Kernel:
+    """Certified kernel, as described in the module docstring, of a
+    nonempty matrix over `ring` whose entries have denominators among
+    `dens`.  `image(h, p)` yields its rows mod p, where h maps a ring
+    element into F_p; `exact_rows()` returns the rows themselves and is
+    called only below full rank mod p."""
     p, s = _prime_for(ring, dens)
     inv = {r: pow(r, -1, p) for r in dens}
 
-    def image(t):  # rows under w -> t, mod p
-        for row in rows:
-            yield [(x.a + x.b * t) * inv[x.r] % p for x in row]
+    def embedding(t):  # the ring map w -> t, mod p
+        return lambda x: (x.a + x.b * t) * inv[x.r] % p
 
-    pivots, R = _rref(image(s), ncols, p)
+    pivots, R = _rref(image(embedding(s), p), ncols, p)
     if len(pivots) == ncols:
         return Kernel(ncols, tuple(pivots), [], p, "modular")
+    rows = exact_rows()
     # with ncols - rank_p exactly verified kernel vectors, rank_Q <=
     # rank_p <= rank_Q, and the vectors have the unique reduced form
-    conj_pivots, R_conj = _rref(image(p - s), ncols, p) if s else (pivots, R)
+    conj_pivots, R_conj = (_rref(image(embedding(p - s), p), ncols, p) if s
+                           else (pivots, R))
     lifted = _lift_rows(ring, R, R_conj, p, s) if conj_pivots == pivots else None
     if lifted is not None:
         basis = _kernel_basis(ring, pivots, lifted, ncols)
@@ -283,12 +304,42 @@ def certified_kernel(rows: list[list[RElem]], ncols: int) -> Kernel:
                   p, "exact")
 
 
+def certified_kernel(rows: list[list[RElem]], ncols: int) -> Kernel:
+    """Exact rank, pivot columns and reduced-row-echelon kernel basis of
+    a nonempty matrix, certified as described in the module docstring."""
+    if not rows:
+        raise ValueError("need at least one row")
+
+    def image(h, p):
+        return ([h(x) for x in row] for row in rows)
+
+    return _certify(rows[0][0].ring, {x.r for row in rows for x in row},
+                    ncols, image, lambda: rows)
+
+
 # -- vanishing spaces and verdicts --------------------------------------------
 
 
-def evaluation_rank(rows: list[list[RElem]], ncols: int) -> int:
-    """Exact rank of the evaluation matrix."""
-    return certified_kernel(rows, ncols).rank
+def _points_kernel(points: Sequence, degree: int) -> tuple[Kernel, list[tuple[int, ...]]]:
+    """Certified kernel of the evaluation matrix of `points`, and its
+    monomial order.  The rows mod p are built from each point's
+    coordinates mod p, one row at a time as the elimination asks for
+    them; the exact matrix is built only below full rank."""
+    coords, exps, steps = _evaluation_plan(points, degree)
+
+    def image(h, p):
+        for xs in coords:
+            ys = [h(x) for x in xs]
+            row = [1]
+            for parent, i in steps:
+                row.append(row[parent] * ys[i] % p)
+            yield row
+
+    # a monomial's denominator divides a product of coordinate ones
+    dens = {x.r for xs in coords for x in xs}
+    kernel = _certify(coords[0][0].ring, dens, len(exps), image,
+                      lambda: monomial_matrix(points, degree)[0])
+    return kernel, exps
 
 
 def vanishing_space_dim(points: Sequence, degree: int) -> int:
@@ -296,15 +347,15 @@ def vanishing_space_dim(points: Sequence, degree: int) -> int:
     vanishing at every given point (nullity of the evaluation matrix)."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    rows, exps = monomial_matrix(points, degree)
-    return len(exps) - evaluation_rank(rows, len(exps))
+    kernel, exps = _points_kernel(points, degree)
+    return len(exps) - kernel.rank
 
 
 def vanishing_basis(points: Sequence, degree: int) -> tuple[list[list[RElem]], list[tuple[int, ...]]]:
     """Basis of the vanishing space as coefficient vectors over the
     monomial order, read off the exact reduced row echelon form."""
-    rows, exps = monomial_matrix(points, degree)
-    return certified_kernel(rows, len(exps)).basis, exps
+    kernel, exps = _points_kernel(points, degree)
+    return kernel.basis, exps
 
 
 def density_report(points: Sequence, degree: int, *, baseline: int = 0) -> dict:

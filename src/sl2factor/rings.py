@@ -31,6 +31,13 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 ORDER_SEARCH_CAP = 10**6
+# ring specs are factored by trial division up to this bound, then by
+# Miller-Rabin on what is left
+TRIAL_DIVISION_BOUND = 10**6
+# Miller-Rabin with the first 13 prime bases is deterministic below the
+# least strong pseudoprime to all of them (Sorenson and Webster, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 class ParseError(ValueError):
@@ -41,33 +48,90 @@ class RingMismatchError(ValueError):
     """Operands belong to different rings."""
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """Ascending distinct prime factors of |n|."""
-    n = abs(n)
-    out = []
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases _MR_BASES: a proof of primality for
+    n < _MR_LIMIT, a probable-prime test above it."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    e, s = n - 1, 0
+    while not e & 1:
+        e >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, e, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Exponents of the prime factors of n >= 1 up to TRIAL_DIVISION_BOUND,
+    and the cofactor left.  The cofactor is 1, a prime, or a number whose
+    prime factors all exceed the bound: division stops early once it is
+    a proven prime or below p * p."""
+    powers: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    done = n < _MR_LIMIT and _is_prime(n)
+    while not done and p <= TRIAL_DIVISION_BOUND and p * p <= n:
         if n % p == 0:
-            out.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            powers[p] = e
+            done = n < _MR_LIMIT and _is_prime(n)
         p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    return powers, n
+
+
+def _is_proven_prime(cofactor: int) -> bool:
+    """Primality of a cofactor from `_trial_divide`, when it can be
+    proven; below the square of the bound it has one prime factor."""
+    return (cofactor < TRIAL_DIVISION_BOUND**2
+            or cofactor < _MR_LIMIT and _is_prime(cofactor))
+
+
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Ascending distinct prime factors of |n|; ParseError when the
+    part of n without prime factors up to TRIAL_DIVISION_BOUND is not a
+    proven prime."""
+    n = abs(n)
+    powers, rest = _trial_divide(n)
+    if rest <= 1:
+        return tuple(powers)
+    if not _is_proven_prime(rest):
+        raise ParseError(f"cannot factor {n}: its cofactor {rest} has no "
+                         f"prime factor up to {TRIAL_DIVISION_BOUND} and is "
+                         f"not a proven prime")
+    return (*powers, rest)
 
 
 def _is_squarefree(n: int) -> bool:
     if n < 1:
         return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
+    powers, rest = _trial_divide(n)
+    if any(e > 1 for e in powers.values()):
+        return False
+    if rest == 1 or _is_proven_prime(rest):
+        return True
+    if isqrt(rest) ** 2 == rest:
+        return False
+    # rest has at most two prime factors below the cube of the bound,
+    # and is not a square
+    if rest < TRIAL_DIVISION_BOUND**3:
+        return True
+    raise ParseError(f"cannot decide whether {n} is squarefree: its cofactor "
+                     f"{rest} has no prime factor up to "
+                     f"{TRIAL_DIVISION_BOUND} and is not a proven prime")
 
 
 def _strip_part(n: int, m: int) -> int:

@@ -8,11 +8,13 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from sl2factor import Mat2, Word, make_ring, vk_membership, word_to_matrix
+from sl2factor import cli
 from sl2factor.cli import main
 
 A_2335 = '{"a":"2","c":"3","b":"3","d":"5"}'
@@ -301,6 +303,37 @@ def test_density_rejects_degree_below_one(capsys, mode, degree):
     assert "--degree" in err
 
 
+def _fail_if_called(*args, **kwargs):
+    pytest.fail("density did orbit or baseline work before rejecting a flag")
+
+
+@pytest.fixture
+def no_density_work(monkeypatch):
+    for name in ("orbit_run", "random_unit_points", "generic_variety_baseline",
+                 "generic_unit_variety_baseline"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+
+
+@pytest.mark.parametrize("mode", [["--k", "2"], ["--matrix", A_2335, "--k", "6"]],
+                         ids=["unit", "matrix"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_density_rejects_count_below_one(capsys, no_density_work, mode, count):
+    code, lines, err = run(capsys, "density", "--ring", "Z[1/2]", *mode,
+                           "-n", count)
+    assert code == 1 and not lines
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--count" in err
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-5"])
+def test_density_unit_mode_rejects_k_below_two(capsys, no_density_work, k):
+    code, lines, err = run(capsys, "density", "--ring", "Z[1/2]", "--k", k,
+                           "-n", "8")
+    assert code == 1 and not lines
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--k" in err
+
+
 def test_density_needs_k(capsys):
     code, _, err = run(capsys, "density", "--ring", "Z[1/2]")
     assert code == 1 and "--k" in err
@@ -310,6 +343,10 @@ def test_density_rejects_long_seed(capsys):
     code, _, err = run(capsys, "density", "--ring", "Z[1/2]",
                        "--matrix", A_2335, "--k", "4")
     assert code == 1 and "length 5" in err
+    # a negative --k is a too-short word too, not a failure inside comb
+    code, _, err = run(capsys, "density", "--ring", "Z[1/2]",
+                       "--matrix", A_2335, "--k", "-5")
+    assert code == 1 and "length 5 > --k -5" in err
 
 
 # -- units ------------------------------------------------------------------------
@@ -351,6 +388,26 @@ def test_units_rejects_modulus_outside_ring(capsys):
     code, lines, _ = run(capsys, "units", "--ring", "Z[1/2]",
                          "--modulus", "3/2", "-n", "2")
     assert code == 0 and lines[0]["units"] == ["4", "16"]
+
+
+def test_units_large_prime_inverted_modulus(capsys):
+    # 10^18 + 3 is prime: Miller-Rabin settles it without trial division
+    start = time.perf_counter()
+    code, lines, _ = run(capsys, "units", "--ring", "Z[1/1000000000000000003]",
+                         "--modulus", "3", "-n", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and lines[0]["units"] == ["1000000000000000003"]
+
+
+def test_units_unfactorable_inverted_modulus(capsys):
+    # both prime factors exceed the trial division bound
+    m = (10**6 + 3) * (10**6 + 33)
+    start = time.perf_counter()
+    code, lines, err = run(capsys, "units", "--ring", f"Z[1/{m}]",
+                           "--modulus", "3", "-n", "1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and not lines
+    assert err.startswith("error:") and "cannot factor" in err
 
 
 # -- README commands ------------------------------------------------------------

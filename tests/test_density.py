@@ -24,7 +24,9 @@ from sl2factor import (
     vanishing_basis,
     vanishing_space_dim,
 )
-from sl2factor.density import certified_kernel, random_unit_points
+from sl2factor import density
+from sl2factor.cli import main
+from sl2factor.density import _points_kernel, certified_kernel, random_unit_points
 
 
 def els(ring, *vals):
@@ -242,6 +244,77 @@ def test_kernel_fast_paths(Z, Zr2):
 
 
 # -- vanishing spaces ---------------------------------------------------------
+
+
+@st.composite
+def point_sets(draw):
+    """Points with fraction coordinates: random ones, or on a random line
+    or conic, drawn with replacement so that duplicates occur."""
+    ring = make_ring(draw(st.sampled_from(KERNEL_RINGS)))
+    k = draw(st.integers(1, 4))
+    coef_b = st.integers(-5, 5) if ring.is_quadratic else st.just(0)
+
+    def element():
+        return ring.el(draw(st.integers(-5, 5)), draw(coef_b),
+                       draw(st.integers(1, 4)))
+
+    curve = draw(st.sampled_from([None, 1, 2]))  # None: random, 1: line, 2: conic
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        if curve is None:
+            pool.append(tuple(element() for _ in range(k)))
+        else:
+            t = element()
+            coefs = [[element() for _ in range(curve + 1)] for _ in range(k)]
+            pool.append(tuple(sum((c * t**e for e, c in enumerate(cs)), ring.zero)
+                              for cs in coefs))
+    points = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 12)))]
+    return points, draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets())
+def test_points_kernel_matches_monomial_matrix(data):
+    # F_p rows built from the coordinates certify the same kernel as the
+    # exact evaluation matrix
+    points, degree = data
+    rows, exps = monomial_matrix(points, degree)
+    want = certified_kernel(rows, len(exps))
+    assert vanishing_basis(points, degree) == (want.basis, exps)
+    if degree >= 1:
+        assert vanishing_space_dim(points, degree) == len(exps) - want.rank
+        assert _points_kernel(points, degree) == (want, exps)
+
+
+def test_full_rank_report_builds_no_exact_rows(monkeypatch, Z_half):
+    # criterion 9's points reach full rank mod p, so the exact evaluation
+    # matrix is never needed
+    A = Mat2(Z_half.el(2), Z_half.el(3), Z_half.el(3), Z_half.el(5))
+    seed = pad(Word("lower", els(Z_half, 1, 1, 1, 1)), A, 9)
+    pts = orbit_run(A, seed, 600, units_per_window=1).points
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("monomial_matrix called at full rank")
+
+    monkeypatch.setattr(density, "monomial_matrix", refuse)
+    assert density_report(pts, 2) == {
+        "k": 9, "D": 2, "monomials": 55, "points": 600,
+        "nullity": 0, "baseline": 0, "dense_at_D": True}
+
+
+def test_readme_k6_density_is_lifted(capsys, Z_half):
+    # the README's k=6 density (nullity 3) is certified by lifting the
+    # mod-p kernel, and its line is unchanged
+    A = Mat2(Z_half.el(2), Z_half.el(3), Z_half.el(3), Z_half.el(5))
+    pts = orbit_run(A, pad(factor_euclid(A), A, 6), 100).points
+    kernel, exps = _points_kernel(pts, 2)
+    assert (len(exps) - kernel.rank, kernel.method) == (3, "lifted")
+    assert main(["density", "--ring", "Z[1/2]", "--matrix",
+                 '{"a":"2","c":"3","b":"3","d":"5"}', "--k", "6",
+                 "--degree", "2", "-n", "100"]) == 0
+    assert capsys.readouterr().out == (
+        '{"k":6,"D":2,"monomials":28,"points":100,"nullity":3,'
+        '"baseline":3,"dense_at_D":true}\n')
 
 
 def test_single_point_line(Z):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from sl2factor import (ParseError, RElem, RingMismatchError,
                        canonical_associate, congruent_mod, make_ring,
                        units_congruent_one)
-from sl2factor.rings import _is_squarefree, _pell_min_unit, _strip_part
+from sl2factor.rings import (TRIAL_DIVISION_BOUND, _is_prime, _is_squarefree,
+                             _pell_min_unit, _prime_factors, _strip_part)
 
 COEF = st.integers(min_value=-10**6, max_value=10**6)
 DENOM = st.integers(min_value=1, max_value=10**4)
@@ -39,6 +41,50 @@ def test_ring_properties():
     assert make_ring("Z[1/6]").inverted_primes == (2, 3)
     assert make_ring("Z[sqrt(5)]").has_infinite_units
     assert make_ring("Z[sqrt(3),1/10]").inverted_primes == (2, 5)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 2000):
+        assert _is_prime(n) == (n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1)))
+    # the least strong pseudoprime to the twelve prime bases up to 37
+    assert not _is_prime(399165290221 * 798330580441)
+    assert _is_prime(2**61 - 1) and not _is_prime((2**31 - 1) * (2**61 - 1))
+
+
+# two primes just above the trial division bound
+P1, P2 = 10**6 + 3, 10**6 + 33
+
+
+@pytest.mark.parametrize("n, factors, squarefree", [
+    (1, (), True),
+    (360, (2, 3, 5), False),
+    (10**18 + 3, (10**18 + 3,), True),
+    (6 * (10**18 + 3), (2, 3, 10**18 + 3), True),
+    (12 * P1, (2, 3, P1), False),
+    (P1 * P1, ParseError, False),
+    (P1 * P2, ParseError, True),
+    (5 * P1 * P2, ParseError, True),
+    (P1 * P2 * (10**6 + 37), ParseError, ParseError),
+    (2**89 - 1, ParseError, ParseError),  # prime, but beyond the proven range
+])
+def test_bounded_factoring(n, factors, squarefree):
+    assert P1 > TRIAL_DIVISION_BOUND
+    for func, want in ((_prime_factors, factors), (_is_squarefree, squarefree)):
+        if want is ParseError:
+            with pytest.raises(ParseError):
+                func(n)
+        else:
+            assert func(n) == want
+
+
+def test_large_ring_specs_parse_quickly():
+    start = time.perf_counter()
+    assert str(make_ring("Z[sqrt(1000000000000000009)]")) == "Z[sqrt(1000000000000000009)]"
+    assert make_ring("Z[1/1000000000000000003]").inverted_primes == (10**18 + 3,)
+    assert str(make_ring(f"Z[sqrt({P1 * P2})]")) == f"Z[sqrt({P1 * P2})]"
+    with pytest.raises(ParseError):
+        make_ring(f"Z[sqrt({P1 * P1 * 7})]")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_element_parse_examples(Z, Z_half, Zr2):
