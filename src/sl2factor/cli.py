@@ -8,9 +8,12 @@ subcommand accepts only the flags it reads (`_COMMANDS`); any other flag
 exits 1, and `sl2factor <subcommand> --help` lists them.
 
 Exit codes: 0 success, 1 invalid input, 2 empty result within the given
-bounds, 3 search budget exhausted.  Codes 2 and 3 are deliberately
-distinct: "no point exists in this box" and "the search gave up" are
-different findings.
+bounds, 3 search budget exhausted, 4 internal error.  Codes 2 and 3 are
+deliberately distinct: "no point exists in this box" and "the search
+gave up" are different findings.  Code 4 reports a fault of the
+program, not of the input: a fail-closed check refused a result (a
+point that fails the equations is never printed), or a bounded
+computation such as the Pell unit search did not finish.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_EMPTY = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 DENSITY_BASELINE_MARGIN = 10
 
@@ -283,6 +287,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except (AssertionError, RuntimeError) as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint():

@@ -9,68 +9,144 @@ For a lower-start word L(x1) U(x2) ... of length k the product matrix is
 built from four continuants of contiguous sub-tuples; evaluating those
 is an independent route to the same matrix as direct multiplication,
 which is what `vk_membership` relies on.
+
+The recurrence runs on plain integers.  With R a common denominator of
+the entries, x_j = (a_j + b_j*w)/R, the cleared continuant
+K'_n = R^n * K_n satisfies K'_n = (a_n + b_n*w)*K'_(n-1) + R^2*K'_(n-2)
+with integer pairs throughout (w*w = d), so no gcd is taken per step.
+`vk_membership` compares the cleared values with the target entries
+scaled by the same power of R, in integers; the other functions turn
+them into ring elements once, at the end.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
-from .matrices import Mat2, shape_target
-from .rings import RElem, Ring
+from .matrices import WORD_SHAPES, Mat2
+from .rings import RElem, Ring, RingMismatchError
+
+# a cleared value: integer pair (p, q) and exponent e, standing for
+# (p + q*w)/R^e
+_Cleared = tuple[int, int, int]
 
 
-def _continuant_pair(ring: Ring, xs: Sequence[RElem]) -> tuple[RElem, RElem]:
-    """(K(xs), K(xs[:-1])) from one pass of the recurrence (n = 0 gives
-    (1, 0), the K_0 and K_(-1) that start it)."""
-    prev, cur = ring.zero, ring.one
+def _cleared_pair(d: int, r2: int, ns, n: int
+                  ) -> tuple[_Cleared, _Cleared]:
+    """(K'(ns), K'(ns[:-1])) for n = len(ns) numerator pairs, from one
+    pass of the recurrence (n = 0 gives 1 and K'_(-1) = 0, which reads
+    as 0 at any exponent)."""
+    pa = pb = qb = 0
+    qa = 1
+    for a, b in ns:
+        pa, pb, qa, qb = (qa, qb, a * qa + d * b * qb + r2 * pa,
+                          a * qb + b * qa + r2 * pb)
+    return (qa, qb, n), (pa, pb, max(n - 1, 0))
+
+
+def _numerators(ring: Ring, xs: Sequence[RElem]
+                ) -> tuple[int, list[tuple[int, int]]]:
+    """Common denominator R = lcm of the denominators of xs, and the
+    numerator pairs (a_j, b_j) with x_j = (a_j + b_j*w)/R."""
+    xs = tuple(xs)  # read twice below; a tuple is not copied
+    R = 1
     for x in xs:
-        prev, cur = cur, cur * x + prev
-    return cur, prev
+        if x.ring is not ring and x.ring != ring:
+            raise RingMismatchError(f"mixed rings: {ring} and {x.ring}")
+        if x.r != 1:
+            R = lcm(R, x.r)
+    if R == 1:
+        return 1, [(x.a, x.b) for x in xs]
+    return R, [(x.a * (R // x.r), x.b * (R // x.r)) for x in xs]
 
 
-def continuant(ring: Ring, xs: Sequence[RElem]) -> RElem:
-    """K_n evaluated at the n entries of xs (n = 0 gives 1)."""
-    return _continuant_pair(ring, xs)[0]
-
-
-def word_matrix_by_continuants(ring: Ring, xs: Sequence[RElem]) -> Mat2:
-    """Matrix of the lower-start word with entries xs, assembled from
-    continuants instead of multiplied out.
+def _cleared_matrix(ring: Ring, xs: Sequence[RElem]
+                    ) -> tuple[int, tuple[_Cleared, ...]]:
+    """Common denominator R of xs and the entries, a c b d order, of
+    the lower-start word matrix of xs, cleared over powers of R.
 
     The four continuants come from two passes of the recurrence: one
     over xs gives K(xs) and K(xs[:-1]), one over xs[1:] gives K(xs[1:])
     and K(xs[1:-1]).
     """
-    xs = tuple(xs)
-    k = len(xs)
+    R, ns = _numerators(ring, xs)
+    k = len(ns)
     if k == 0:
-        one, zero = ring.one, ring.zero
-        return Mat2(one, zero, zero, one)
-    if k == 1:
-        return Mat2(ring.one, ring.zero, xs[0], ring.one)
-    full, head = _continuant_pair(ring, xs)
-    tail, inner = _continuant_pair(ring, xs[1:])
+        return 1, ((1, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0))
+    d, r2 = ring.d or 0, R * R
+    full, head = _cleared_pair(d, r2, ns, k)
+    tail, inner = _cleared_pair(d, r2, ns[1:], k - 1)
     if k % 2 == 1:
-        return Mat2(tail, inner, full, head)
-    return Mat2(inner, tail, head, full)
+        return R, (tail, inner, full, head)
+    return R, (inner, tail, head, full)
+
+
+def _target_entries(A: Mat2, shape: str) -> tuple[RElem, ...]:
+    """Entries, a c b d order, of `shape_target(A, shape)`.
+
+    Lower-start tuples are tested against A itself; upper-start and
+    D-type tuples satisfy the same four equations with A replaced by its
+    half-turn involution A.prime().
+    """
+    if shape == "lower":
+        return A.a, A.c, A.b, A.d
+    if shape in WORD_SHAPES:
+        return A.d, A.b, A.c, A.a
+    raise ValueError(f"unknown word shape {shape!r}")
+
+
+def _is_unimodular(A: Mat2) -> bool:
+    """det A == 1, evaluated on the fields of A's entries."""
+    a, c, b, d = A.a, A.c, A.b, A.d
+    w = A.ring.d or 0
+    adr, cbr = a.r * d.r, c.r * b.r
+    # a*d and c*b as (p + q*w)/r; a*d - c*b = 1 over adr*cbr
+    adp, adq = a.a * d.a + w * a.b * d.b, a.a * d.b + a.b * d.a
+    cbp, cbq = c.a * b.a + w * c.b * b.b, c.a * b.b + c.b * b.a
+    return adp * cbr - cbp * adr == adr * cbr and adq * cbr == cbq * adr
+
+
+def _elements(ring: Ring, R: int, cleared: Sequence[_Cleared]
+              ) -> tuple[RElem, ...]:
+    return tuple(RElem(ring, p, q, R**e) for p, q, e in cleared)
+
+
+def continuant(ring: Ring, xs: Sequence[RElem]) -> RElem:
+    """K_n evaluated at the n entries of xs (n = 0 gives 1)."""
+    R, ns = _numerators(ring, xs)
+    (p, q, n), _ = _cleared_pair(ring.d or 0, R * R, ns, len(ns))
+    return RElem(ring, p, q, R**n)
+
+
+def word_matrix_by_continuants(ring: Ring, xs: Sequence[RElem]) -> Mat2:
+    """Matrix of the lower-start word with entries xs, assembled from
+    continuants instead of multiplied out."""
+    return Mat2(*_elements(ring, *_cleared_matrix(ring, xs)))
 
 
 def membership_residuals(A: Mat2, xs: Sequence[RElem],
                          shape: str = "lower") -> tuple[RElem, ...]:
     """Entrywise differences (a, c, b, d order) between the continuant
-    matrix of xs and its target.
-
-    Lower-start tuples are tested against A itself; upper-start and
-    D-type tuples satisfy the same four equations with A replaced by its
-    half-turn involution, so they are tested against A.prime().
-    """
-    if A.det() != 1:
+    matrix of xs and its target, A for lower-start tuples and A.prime()
+    for upper-start and D-type ones."""
+    if not _is_unimodular(A):
         raise ValueError("membership target must have determinant 1")
-    target = shape_target(A, shape)
-    M = word_matrix_by_continuants(A.ring, xs)
-    return (M.a - target.a, M.c - target.c, M.b - target.b, M.d - target.d)
+    target = _target_entries(A, shape)
+    M = _elements(A.ring, *_cleared_matrix(A.ring, xs))
+    return tuple(m - t for m, t in zip(M, target))
 
 
 def vk_membership(A: Mat2, xs: Sequence[RElem], shape: str = "lower") -> bool:
-    """Exact test that xs solves the word-factorization equations for A."""
-    return not any(membership_residuals(A, xs, shape))
+    """Exact test that xs solves the word-factorization equations for A,
+    in integers: each cleared entry (p + q*w)/R^e against its target
+    entry (t.a + t.b*w)/t.r."""
+    if not _is_unimodular(A):
+        raise ValueError("membership target must have determinant 1")
+    target = _target_entries(A, shape)
+    R, M = _cleared_matrix(A.ring, xs)
+    for (p, q, e), t in zip(M, target):
+        s = R**e
+        if p * t.r != t.a * s or q * t.r != t.b * s:
+            return False
+    return True

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -172,8 +172,10 @@ class Ring:
     def is_quadratic(self) -> bool:
         return self.d is not None
 
-    @property
+    @cached_property
     def inverted_primes(self) -> tuple[int, ...]:
+        # cached on the instance: factoring a large m is slow, and unit
+        # sampling asks for the primes once per unit
         return _prime_factors(self.m) if self.m > 1 else ()
 
     @property
@@ -240,6 +242,10 @@ class Ring:
         """Fixed, ordered generating set of the unit group:
         fundamental unit first (quadratic rings), then the inverted
         primes in ascending order, then -1."""
+        return self._unit_generators
+
+    @cached_property
+    def _unit_generators(self) -> tuple[RElem, ...]:
         gens: list[RElem] = []
         if self.is_quadratic:
             gens.append(self.fundamental_unit())

@@ -172,6 +172,32 @@ def test_orbit_rejects_non_member_seed(capsys):
     assert code == 1 and not lines and "does not solve" in err
 
 
+@pytest.mark.parametrize("module", ["orbits", "cli"])
+def test_orbit_refused_point_is_internal_error(capsys, monkeypatch, module):
+    # a fail-closed refusal at emission (orbits) or at print time (cli)
+    # exits 4 with one error line, never a traceback or a printed point
+    monkeypatch.setattr(f"sl2factor.{module}.vk_membership",
+                        lambda *args: False)
+    code = main(["orbit", "--ring", "Z[1/2]", "--matrix", A_2335,
+                 "--point", '["1","1","1","1"]', "-n", "5"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4 and captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert "non-member" in captured.err and "Traceback" not in captured.err
+
+
+def test_unclosed_unit_search_is_internal_error(capsys, monkeypatch):
+    def unclosed(d):
+        raise RuntimeError(f"continued fraction of sqrt({d}) did not close")
+
+    monkeypatch.setattr("sl2factor.rings._pell_min_unit", unclosed)
+    code = main(["units", "--ring", "Z[sqrt(2)]", "--modulus", "3"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("internal error: continued fraction of sqrt(2) "
+                            "did not close\n")
+
+
 # -- enum -----------------------------------------------------------------------
 
 

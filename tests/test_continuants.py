@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sl2factor import (
     Mat2,
+    RingMismatchError,
     Word,
     continuant,
     make_ring,
@@ -101,6 +102,7 @@ def test_word_matrix_determinant_identity(vals):
 def test_membership_examples(Z):
     A = Mat2(Z.el(2), Z.el(3), Z.el(3), Z.el(5))
     assert vk_membership(A, els(Z, 1, 1, 1, 1))
+    assert vk_membership(A, iter(els(Z, 1, 1, 1, 1)))
     assert not vk_membership(A, els(Z, 1, 1, 1, 2))
     I = word_to_matrix(Word("lower", ()), ring=Z)
     for t in (-3, 0, 2):
@@ -131,10 +133,62 @@ def test_membership_shapes(rng, Z, Zr2):
             assert B == A.prime()
 
 
-def test_membership_rejects_bad_targets(Z):
+def test_membership_rejects_bad_targets(Z, Zr2):
+    # checked in this order: determinant, shape, then the entries' ring
     t = Mat2(Z.el(0), Z.el(1), Z.el(1), Z.el(0))
-    with pytest.raises(ValueError):
-        vk_membership(t, els(Z, 1))
+    with pytest.raises(ValueError, match="determinant"):
+        vk_membership(t, els(Zr2, 1), "spiral")
     A = Mat2(Z.el(2), Z.el(3), Z.el(3), Z.el(5))
-    with pytest.raises(ValueError):
-        vk_membership(A, els(Z, 1), "spiral")
+    with pytest.raises(ValueError, match="shape"):
+        vk_membership(A, els(Zr2, 1), "spiral")
+    for check in (vk_membership, membership_residuals):
+        with pytest.raises(RingMismatchError):
+            check(A, els(Zr2, 1, 1, 1, 1))
+
+
+# -- differential: the integer kernel against direct multiplication ----------
+
+DIFF_RINGS = tuple(make_ring(s) for s in
+                   ("Z", "Z[1/6]", "Z[sqrt(2)]", "Z[sqrt(2),1/2]"))
+
+
+@st.composite
+def perturbed_words(draw):
+    """A ring, a shape, a word of length 0..12 whose entries have
+    denominators 1..12 (most of them not units of the ring), and the
+    same word with at most one entry changed."""
+    ring = draw(st.sampled_from(DIFF_RINGS))
+    shape = draw(st.sampled_from(("lower", "upper", "D")))
+
+    def entry():
+        b = draw(st.integers(-9, 9)) if ring.is_quadratic else 0
+        return ring.el(draw(st.integers(-9, 9)), b, draw(st.integers(1, 12)))
+
+    xs = tuple(entry() for _ in range(draw(st.integers(0, 12))))
+    ys = list(xs)
+    if xs and draw(st.booleans()):
+        ys[draw(st.integers(0, len(xs) - 1))] = entry()
+    return ring, shape, xs, tuple(ys)
+
+
+def relem_continuant(ring, xs):
+    """K_n by the recurrence on ring elements."""
+    prev, cur = ring.zero, ring.one
+    for x in xs:
+        prev, cur = cur, cur * x + prev
+    return cur
+
+
+@given(perturbed_words())
+def test_integer_kernel_matches_direct_multiplication(case):
+    ring, shape, xs, ys = case
+    A = word_to_matrix(Word(shape, xs), ring=ring)
+    direct = word_to_matrix(Word(shape, ys), ring=ring)
+    assert vk_membership(A, ys, shape) == (direct == A)
+    # upper and D tuples are tested as lower tuples against A.prime()
+    M = word_to_matrix(Word("lower", ys), ring=ring)
+    T = A if shape == "lower" else A.prime()
+    assert membership_residuals(A, ys, shape) == (
+        M.a - T.a, M.c - T.c, M.b - T.b, M.d - T.d)
+    for n in range(len(ys) + 1):
+        assert continuant(ring, ys[:n]) == relem_continuant(ring, ys[:n])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sl2factor import (ParseError, RElem, RingMismatchError,
                        canonical_associate, congruent_mod, make_ring,
                        units_congruent_one)
+from sl2factor import rings
 from sl2factor.rings import (TRIAL_DIVISION_BOUND, _is_prime, _is_squarefree,
                              _pell_min_unit, _prime_factors, _strip_part)
 
@@ -382,6 +383,23 @@ def test_random_unit_stream_pinned():
         units = [ring.random_unit(rng) for _ in range(4)]
         assert [str(u) for u in units] == want
         assert all(u.is_unit() for u in units)
+
+
+def test_ring_factors_its_modulus_once(monkeypatch):
+    # unit sampling asks for the inverted primes once per unit; a ring
+    # whose m has large prime factors must not trial-divide it each time
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return _prime_factors(n)
+
+    monkeypatch.setattr(rings, "_prime_factors", counted)
+    ring, rng = make_ring("Z[sqrt(2),1/999962000357]"), random.Random(3)
+    units = [ring.random_unit(rng) for _ in range(200)]
+    assert calls == [999962000357]
+    assert ring.inverted_primes == (999979, 999983)
+    assert ring.unit_generators() is ring.unit_generators()
 
 
 def test_units_congruent_one_inverted_prime(Z_half):
