@@ -12,9 +12,9 @@ There is no floating point anywhere in the package.
 
 from .continuants import (continuant, membership_residuals, vk_membership,
                           word_matrix_by_continuants)
-from .density import (density_report, generic_unit_variety_baseline,
-                      generic_variety_baseline, monomial_exponents,
-                      monomial_matrix, vanishing_basis, vanishing_space_dim)
+from .density import (density_report, generic_variety_baseline,
+                      monomial_exponents, monomial_matrix, vanishing_basis,
+                      vanishing_space_dim)
 from .matrices import (INVOLUTIONS, WORD_SHAPES, Mat2, Word, elem, identity,
                        involution, letter_kind, matrix_from_json,
                        matrix_to_json, t_matrix, word_from_json, word_to_json,
@@ -39,9 +39,9 @@ __all__ = [
     "a1_families", "act_a0", "act_v", "canonical_associate", "congruent_mod",
     "continuant", "convert_shape", "coordinate_box", "density_report",
     "elem", "enumerate_points_bounded", "factor_euclid",
-    "fiber_lift", "generic_unit_variety_baseline",
-    "generic_variety_baseline", "identity", "involution", "letter_kind",
-    "make_ring", "matrix_from_json", "matrix_to_json", "membership_residuals",
+    "fiber_lift", "generic_variety_baseline", "identity", "involution",
+    "letter_kind", "make_ring", "matrix_from_json", "matrix_to_json",
+    "membership_residuals",
     "monomial_exponents", "monomial_matrix", "orbit_run",
     "pad", "reverse_point", "solve_k3",
     "t_matrix", "unit_product_points", "units_congruent_one",

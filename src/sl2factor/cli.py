@@ -13,7 +13,10 @@ deliberately distinct: "no point exists in this box" and "the search
 gave up" are different findings.  Code 4 reports a fault of the
 program, not of the input: a fail-closed check refused a result (a
 point that fails the equations is never printed), or a bounded
-computation such as the Pell unit search did not finish.
+computation such as the Pell unit search did not finish.  The console
+script ends like any Unix filter when its reader goes away (`| head`):
+it restores the default SIGPIPE action, so a closed stdout stops it
+quietly, with no traceback.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import sys
 from math import comb
 
 from .continuants import membership_residuals, vk_membership
-from .density import (density_report, generic_unit_variety_baseline,
-                      generic_variety_baseline, random_unit_points)
+from .density import (density_report, generic_variety_baseline,
+                      random_unit_points)
 from .matrices import (WORD_SHAPES, Mat2, Word, matrix_from_json,
                        shape_target, word_from_json, word_to_json)
 from .orbits import orbit_run
@@ -168,19 +171,20 @@ def cmd_density(args, out) -> int:
                       word_from_json(ring, _json(args.point, "--point"), shape))
         if seed_point.k > k:
             raise ParseError(f"seed has length {seed_point.k} > --k {k}")
-    baseline_count = comb(k + degree, degree) + DENSITY_BASELINE_MARGIN
     if args.matrix is None:
         points = random_unit_points(ring, k, args.count, args.seed)
-        baseline = generic_unit_variety_baseline(ring, k, degree,
-                                                 baseline_count, args.seed + 1)
+        # x1*...*xk - 1 is irreducible and generates the ideal of the
+        # unit-product variety, so its degree <= D part is that
+        # polynomial times every monomial of degree <= D - k
+        baseline = comb(degree, k)
     else:
         seed_point = pad(seed_point, A, k)
         points = orbit_run(A, seed_point, args.count).points
         # upper and D points of A are lower points of A.prime(), and the
         # baseline samples lower points
-        baseline = generic_variety_baseline(shape_target(A, seed_point.shape),
-                                            k, degree, baseline_count,
-                                            args.seed + 1)
+        baseline = generic_variety_baseline(
+            shape_target(A, seed_point.shape), k, degree,
+            comb(k + degree, degree) + DENSITY_BASELINE_MARGIN, args.seed + 1)
     _emit(out, density_report(points, degree, baseline=baseline))
     return EXIT_OK
 
@@ -293,6 +297,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    import signal  # here, so in-process main() callers skip its 1 ms import
+    if hasattr(signal, "SIGPIPE"):  # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Sequence
 
-from .matrices import WORD_SHAPES, Mat2
+from .matrices import Mat2, shape_target
 from .rings import RElem, Ring, RingMismatchError
 
 # a cleared value: integer pair (p, q) and exponent e, standing for
@@ -82,20 +82,6 @@ def _cleared_matrix(ring: Ring, xs: Sequence[RElem]
     return R, (inner, tail, head, full)
 
 
-def _target_entries(A: Mat2, shape: str) -> tuple[RElem, ...]:
-    """Entries, a c b d order, of `shape_target(A, shape)`.
-
-    Lower-start tuples are tested against A itself; upper-start and
-    D-type tuples satisfy the same four equations with A replaced by its
-    half-turn involution A.prime().
-    """
-    if shape == "lower":
-        return A.a, A.c, A.b, A.d
-    if shape in WORD_SHAPES:
-        return A.d, A.b, A.c, A.a
-    raise ValueError(f"unknown word shape {shape!r}")
-
-
 def _is_unimodular(A: Mat2) -> bool:
     """det A == 1, evaluated on the fields of A's entries."""
     a, c, b, d = A.a, A.c, A.b, A.d
@@ -132,7 +118,8 @@ def membership_residuals(A: Mat2, xs: Sequence[RElem],
     for upper-start and D-type ones."""
     if not _is_unimodular(A):
         raise ValueError("membership target must have determinant 1")
-    target = _target_entries(A, shape)
+    T = shape_target(A, shape)
+    target = (T.a, T.c, T.b, T.d)
     M = _elements(A.ring, *_cleared_matrix(A.ring, xs))
     return tuple(m - t for m, t in zip(M, target))
 
@@ -143,7 +130,8 @@ def vk_membership(A: Mat2, xs: Sequence[RElem], shape: str = "lower") -> bool:
     entry (t.a + t.b*w)/t.r."""
     if not _is_unimodular(A):
         raise ValueError("membership target must have determinant 1")
-    target = _target_entries(A, shape)
+    T = shape_target(A, shape)
+    target = (T.a, T.c, T.b, T.d)
     R, M = _cleared_matrix(A.ring, xs)
     for (p, q, e), t in zip(M, target):
         s = R**e

@@ -2,8 +2,10 @@
 
 A point set is declared dense at degree D when no polynomial of degree
 at most D vanishes on it beyond the ones forced by the ambient variety:
-the nullity of the monomial evaluation matrix must match a baseline
-computed from generic field-valued samples.
+the nullity of the monomial evaluation matrix must match a baseline,
+computed from generic field-valued samples (`generic_variety_baseline`),
+or C(D, k) for the unit-product variety x1*...*xk = 1, whose ideal is
+generated by the irreducible x1*...*xk - 1.
 
 Rank, pivot columns and kernel basis all come from one certified kernel
 (`_certify`, behind `certified_kernel` for a given matrix and behind
@@ -398,9 +400,3 @@ def random_unit_points(ring: Ring, k: int, count: int, seed: int) -> list[tuple[
     rng = random.Random(seed)
     return [unit_product_points(ring, k, [ring.random_unit(rng) for _ in range(k - 1)])
             for _ in range(count)]
-
-
-def generic_unit_variety_baseline(ring: Ring, k: int, degree: int, count: int,
-                                  seed: int) -> int:
-    """Baseline nullity for the unit-product variety from random unit points."""
-    return vanishing_space_dim(random_unit_points(ring, k, count, seed), degree)

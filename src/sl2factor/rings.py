@@ -31,6 +31,10 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 ORDER_SEARCH_CAP = 10**6
+# bit cap on the Pell search; the fundamental unit of every Z[sqrt(d)]
+# with squarefree d <= 10^6 fits with room (the largest, d = 978091,
+# has 4461 bits)
+PELL_BITS_CAP = 8192
 # ring specs are factored by trial division up to this bound, then by
 # Miller-Rabin on what is left
 TRIAL_DIVISION_BOUND = 10**6
@@ -468,7 +472,9 @@ class RElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, self.a, self.b, self.r))
+        # equal elements share a ring, so the ring need not be hashed;
+        # __eq__ still tells equal fields of two rings apart
+        return hash((self.a, self.b, self.r))
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -532,20 +538,26 @@ def _reduced(ring: Ring, a: int, b: int, r: int) -> RElem:
 @lru_cache(maxsize=64)  # bounded: d comes from user ring specs
 def _pell_min_unit(d: int) -> tuple[int, int]:
     """Smallest (x, y) with y >= 1 and x^2 - d*y^2 = 1 or -1, from the
-    continued fraction expansion of sqrt(d)."""
+    continued fraction expansion of sqrt(d).
+
+    The convergent p/q of each step has p^2 - d*q^2 = +-Q for the next
+    complete quotient's denominator Q, so Q = 1 marks the solution.
+    RuntimeError once p exceeds PELL_BITS_CAP bits.
+    """
     a0 = isqrt(d)
     m, den, a = 0, 1, a0
     p_prev, p = 1, a0
     q_prev, q = 0, 1
-    for _ in range(10**6):
-        if p * p - d * q * q in (1, -1):
-            return p, q
+    while p.bit_length() <= PELL_BITS_CAP:
         m = den * a - m
         den = (d - m * m) // den
+        if den == 1:
+            return p, q
         a = (a0 + m) // den
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-    raise RuntimeError(f"continued fraction of sqrt({d}) did not close")
+    raise RuntimeError(f"continued fraction of sqrt({d}) did not close "
+                       f"within {PELL_BITS_CAP} bits")
 
 
 def congruent_mod(x: RElem, y, modulus: RElem) -> bool:
@@ -644,13 +656,13 @@ class UnitsResult(NamedTuple):
     stalled: tuple[RElem, ...]
 
 
-def units_congruent_one(ring: Ring, modulus: RElem, count: int, *,
-                        order_cap: int = ORDER_SEARCH_CAP) -> UnitsResult:
+def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
     """Up to `count` distinct units v != 1 with v congruent to 1 mod `modulus`.
 
     Units come out as powers g**(j*order) of the fixed generator set,
     where order is the multiplicative order of g in the quotient by the
-    modulus, found by power iteration capped at `order_cap` steps.
+    modulus, found by `_order_finder` within ORDER_SEARCH_CAP steps (the
+    module value at call time).
     """
     if not modulus:
         raise ZeroDivisionError("zero modulus")
@@ -660,7 +672,7 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int, *,
         raise ValueError("count must be >= 0")
     one = ring.one
     minus_one = RElem(ring, -1)
-    order_of = _order_finder(ring, modulus, order_cap)
+    order_of = _order_finder(ring, modulus)
 
     orders: dict[RElem, int] = {}
     stalled: list[RElem] = []
@@ -695,39 +707,31 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int, *,
     return UnitsResult(tuple(units), False, tuple(stalled))
 
 
-def _order_finder(ring: Ring, modulus: RElem, cap: int):
-    """Return a function computing multiplicative orders in the quotient
-    by `modulus`, with element coordinates reduced along the way so the
-    iteration runs in bounded space."""
-    one = ring.one
-    if ring.is_quadratic:
-        # any rational integer in the ideal works as a coordinate modulus;
-        # the norm of the denominator-cleared associate is one
-        nmod = abs(modulus.a * modulus.a - ring.d * modulus.b * modulus.b)
+def _order_finder(ring: Ring, modulus: RElem):
+    """Return a function giving the multiplicative order of a unit
+    generator (a + b*w with integer a, b) in the quotient by `modulus`,
+    or None when it exceeds ORDER_SEARCH_CAP.
 
-        def order_of(g: RElem):
-            cur = g
-            for e in range(1, cap + 1):
-                if congruent_mod(cur, one, modulus):
-                    return e
-                nxt = cur * g
-                cur = RElem(ring, nxt.a % nmod, nxt.b % nmod) if nmod else nxt
-            return None
-
-        return order_of
-
-    n = _strip_part(modulus.a, ring.m)  # positive generator of the ideal
+    Up to a unit, the modulus is c*(a + b*w) with a + b*w primitive.  Its
+    ideal meets Z in n*Z, n = c*|N(a + b*w)| with the inverted primes
+    stripped, so powers run on integer coordinates mod n, and x = 1 mod
+    the ideal exactly when n divides both coordinates of
+    (x - 1)*(a - b*w).  Rational rings are the case d = b = 0.
+    """
+    d = ring.d or 0
+    c = gcd(modulus.a, modulus.b)
+    a, b = modulus.a // c, modulus.b // c
+    n = _strip_part(c * (a * a - d * b * b), ring.m)
+    cap = ORDER_SEARCH_CAP
 
     def order_of(g: RElem):
-        gi = g.a % n
-        target = 1 % n
-        cur = gi
-        e = 1
-        while cur != target:
-            cur = cur * gi % n
-            e += 1
-            if e > cap:
-                return None
-        return e
+        ga, gb = g.a % n, g.b % n
+        x, y = ga, gb
+        for e in range(1, cap + 1):
+            t = x - 1
+            if not (t * a - d * y * b) % n and not (y * a - t * b) % n:
+                return e
+            x, y = (x * ga + d * y * gb) % n, (x * gb + y * ga) % n
+        return None
 
     return order_of

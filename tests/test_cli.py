@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -198,6 +199,17 @@ def test_unclosed_unit_search_is_internal_error(capsys, monkeypatch):
                             "did not close\n")
 
 
+def test_huge_pell_search_is_internal_error(capsys):
+    t = time.perf_counter()
+    code = main(["units", "--ring", "Z[sqrt(1000000000000000009)]",
+                 "--modulus", "3", "-n", "1"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - t < 10
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("internal error: continued fraction")
+    assert captured.err.count("\n") == 1
+
+
 # -- enum -----------------------------------------------------------------------
 
 
@@ -257,6 +269,16 @@ def test_density_unit_mode(capsys):
     assert code == 0
     assert lines == [{"k": 2, "D": 2, "monomials": 6, "points": 12,
                       "nullity": 1, "baseline": 1, "dense_at_D": True}]
+
+
+def test_density_unit_mode_over_z_is_not_dense(capsys):
+    # Z has the units 1 and -1 only, so the unit points are the two
+    # points (1, 1) and (-1, -1), not a dense subset of x1*x2 = 1
+    code, lines, _ = run(capsys, "density", "--ring", "Z", "--k", "2",
+                         "--degree", "2", "-n", "100")
+    assert code == 0
+    assert lines == [{"k": 2, "D": 2, "monomials": 6, "points": 100,
+                      "nullity": 4, "baseline": 1, "dense_at_D": False}]
 
 
 def test_density_baseline_follows_seed_shape(capsys):
@@ -335,8 +357,7 @@ def _fail_if_called(*args, **kwargs):
 
 @pytest.fixture
 def no_density_work(monkeypatch):
-    for name in ("orbit_run", "random_unit_points", "generic_variety_baseline",
-                 "generic_unit_variety_baseline"):
+    for name in ("orbit_run", "random_unit_points", "generic_variety_baseline"):
         monkeypatch.setattr(cli, name, _fail_if_called)
 
 
@@ -662,6 +683,22 @@ def test_module_entrypoint_exit_codes():
                           text=True, env=env)
     assert done.returncode == 1 and done.stdout == ""
     assert "--seed" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_ends_quietly():
+    # a reader that stops early (`| head -1`) ends the process like any
+    # Unix filter, with nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "sl2factor.cli", "orbit", "--ring", "Z[1/2]",
+           "--matrix", A_2335, "--point", '["1","1","1","1"]', "-n", "2000"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert json.loads(first)["action"] == "seed"
+    assert err == b""
 
 
 def test_argparse_exits_are_mapped(capsys):

@@ -14,7 +14,6 @@ from sl2factor import (
     Word,
     density_report,
     factor_euclid,
-    generic_unit_variety_baseline,
     generic_variety_baseline,
     make_ring,
     monomial_exponents,
@@ -423,9 +422,11 @@ def test_generic_baselines_deterministic(Z_half):
     b1 = generic_variety_baseline(A, 4, 2, 20, 99)
     b2 = generic_variety_baseline(A, 4, 2, 20, 99)
     assert b1 == b2
-    u1 = generic_unit_variety_baseline(Z_half, 2, 2, 8, 5)
-    assert u1 == generic_unit_variety_baseline(Z_half, 2, 2, 8, 5)
-    assert u1 == 1  # the curve x1*x2 = 1 carries exactly one quadric
+    # the curve x1*x2 = 1 carries exactly one quadric, and unit mode's
+    # closed-form baseline C(D, k) says so
+    u1 = vanishing_space_dim(random_unit_points(Z_half, 2, 8, 5), 2)
+    assert u1 == vanishing_space_dim(random_unit_points(Z_half, 2, 8, 5), 2)
+    assert u1 == comb(2, 2) == 1
 
 
 def test_random_unit_points(Z_half):
@@ -435,6 +436,18 @@ def test_random_unit_points(Z_half):
     for P in pts:
         assert all(x.is_unit() for x in P)
         assert P[0] * P[1] * P[2] == 1
+
+
+@pytest.mark.parametrize("spec", ["Z[1/2]", "Z[1/6]", "Z[sqrt(2)]",
+                                  "Z[sqrt(2),1/2]"])
+def test_unit_points_nullity_is_closed_form(spec):
+    # unit mode's baseline: x1*...*xk - 1 generates the ideal of the
+    # unit-product variety, and its unit points are Zariski dense when
+    # the unit group is infinite, so the nullity is C(D, k)
+    ring = make_ring(spec)
+    for k, D in [(2, 1), (2, 3), (3, 2), (3, 4), (4, 3), (4, 4)]:
+        pts = random_unit_points(ring, k, comb(k + D, D) + 10, k * D)
+        assert vanishing_space_dim(pts, D) == comb(D, k), (k, D)
 
 
 def test_orbit_points_match_generic_baseline(Z_half):

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2factor import (ParseError, RElem, RingMismatchError,
@@ -14,7 +14,8 @@ from sl2factor import (ParseError, RElem, RingMismatchError,
                        units_congruent_one)
 from sl2factor import rings
 from sl2factor.rings import (TRIAL_DIVISION_BOUND, _is_prime, _is_squarefree,
-                             _pell_min_unit, _prime_factors, _strip_part)
+                             _order_finder, _pell_min_unit, _prime_factors,
+                             _strip_part)
 
 COEF = st.integers(min_value=-10**6, max_value=10**6)
 DENOM = st.integers(min_value=1, max_value=10**4)
@@ -353,6 +354,37 @@ def test_fundamental_unit_matches_brute_force(d):
             assert not (u.is_unit() and u > 1 and u < eps)
 
 
+def squaring_pell(d: int) -> tuple[int, int]:
+    # the continued fraction walk that squares each convergent p/q and
+    # stops at the first with p*p - d*q*q = +-1
+    a0 = math.isqrt(d)
+    m, den, a = 0, 1, a0
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    while p * p - d * q * q not in (1, -1):
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+    return p, q
+
+
+def test_pell_matches_squaring_walk():
+    for d in range(2, 1000):
+        if _is_squarefree(d) and math.isqrt(d) ** 2 != d:
+            x, y = _pell_min_unit.__wrapped__(d)
+            assert (x, y) == squaring_pell(d), d
+            assert x * x - d * y * y in (1, -1) and y >= 1
+
+
+def test_pell_bit_cap_fits_largest_unit():
+    # the largest fundamental unit of a squarefree d <= 10^6 still closes;
+    # tests/test_cli.py checks that a huge d gives up at the cap
+    x, y = _pell_min_unit.__wrapped__(978091)
+    assert x * x - 978091 * y * y == 1
+    assert x.bit_length() == 4461 < rings.PELL_BITS_CAP
+
+
 def test_fundamental_unit_known_values():
     assert str(make_ring("Z[sqrt(2)]").fundamental_unit()) == "(1+1*w)"
     assert str(make_ring("Z[sqrt(3)]").fundamental_unit()) == "(2+1*w)"
@@ -432,6 +464,73 @@ def test_units_congruent_one_contract(spec, mod):
         assert v.is_unit()
         assert congruent_mod(v, 1, m)
         assert v != 1
+
+
+def reference_order(g: RElem, modulus: RElem, cap: int):
+    # power by power in RElem, judged by congruent_mod; coordinates are
+    # reduced by the norm of the modulus numerator, which lies in the ideal
+    ring = g.ring
+    nmod = abs(modulus.a ** 2 - (ring.d or 0) * modulus.b ** 2)
+    cur = g
+    for e in range(1, cap + 1):
+        if congruent_mod(cur, 1, modulus):
+            return e
+        nxt = cur * g
+        cur = RElem(ring, nxt.a % nmod, nxt.b % nmod)
+    return None
+
+
+ORDER_RINGS = tuple(make_ring(s) for s in
+                    ("Z", "Z[1/6]", "Z[sqrt(2)]", "Z[sqrt(5)]",
+                     "Z[sqrt(3),1/2]"))
+
+
+@st.composite
+def unit_moduli(draw):
+    """A ring and a modulus in it with content, inverted-prime factors
+    and unit denominators; in quadratic rings often a + b*w of norm +-1
+    or +-2, a unit or (in Z[sqrt(3),1/2]) a unit times a unit norm."""
+    ring = draw(st.sampled_from(ORDER_RINGS))
+    d = ring.d or 0
+    a = draw(st.integers(-12, 12))
+    b = draw(st.integers(-12, 12)) if d else 0
+    if d and draw(st.booleans()):
+        small = [(x, y) for x in range(-9, 10) for y in range(1, 6)
+                 if abs(x * x - d * y * y) in (1, 2)]
+        a, b = draw(st.sampled_from(small))
+    if not (a or b):
+        a = 1
+    c = draw(st.sampled_from([1, 1, 2, 3, 4, 6, 9]))
+    primes = ring.inverted_primes or (1,)
+    s = draw(st.sampled_from(primes)) ** draw(st.integers(0, 3))
+    r = draw(st.sampled_from(primes)) ** draw(st.integers(0, 3))
+    return ring, RElem(ring, a * c * s, b * c * s, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=unit_moduli(), cap=st.sampled_from([1, 2, 5, 40, 300]))
+# 1 + 2*w is a split prime of norm -7, so the two conjugates differ
+@example(case=(ORDER_RINGS[2], RElem(ORDER_RINGS[2], 1, 2)), cap=300)
+def test_order_finder_matches_reference(case, cap):
+    ring, modulus = case
+    with pytest.MonkeyPatch.context() as mp:
+        # the cap is read at call time; a small one exercises the stall path
+        mp.setattr(rings, "ORDER_SEARCH_CAP", cap)
+        order_of = _order_finder(ring, modulus)
+        res = units_congruent_one(ring, modulus, 2)
+    gens = ring.unit_generators()
+    want = [reference_order(g, modulus, cap) for g in gens]
+    assert [order_of(g) for g in gens] == want
+    assert res.stalled == tuple(g for g, o in zip(gens, want) if o is None)
+    for v in res.units:
+        assert v != 1 and v.is_unit() and congruent_mod(v, 1, modulus)
+
+
+def test_elements_of_two_rings_stay_apart(Z, Z_half):
+    x, y = Z.el(2), Z_half.el(2)
+    assert (x.a, x.b, x.r) == (y.a, y.b, y.r)
+    assert x != y
+    assert len({x, y}) == 2 and {x: 1, y: 2}[x] == 1
 
 
 def test_units_congruent_one_rejects_modulus_outside_ring(Z_half, Zr2):
