@@ -171,6 +171,8 @@ def cmd_density(args, out) -> int:
                       word_from_json(ring, _json(args.point, "--point"), shape))
         if seed_point.k > k:
             raise ParseError(f"seed has length {seed_point.k} > --k {k}")
+        if k < 3:
+            raise ParseError(f"--k must be at least 3 with --matrix, got {k}")
     if args.matrix is None:
         points = random_unit_points(ring, k, args.count, args.seed)
         # x1*...*xk - 1 is irreducible and generates the ideal of the

@@ -13,18 +13,21 @@ Rank, pivot columns and kernel basis all come from one certified kernel
 the matrix into F_p by the ring homomorphism
 (a + b*w)/r -> (a + b*s) * r^-1 mod p, where p is a fixed 61-bit prime
 dividing neither m nor any denominator and s^2 = d mod p, and runs
-Gauss-Jordan elimination there.  For a point set the rows mod p come
-from the coordinates: each point's coordinates are mapped into F_p once
-and its monomials are formed mod p, one row at a time as the
-elimination asks for them, so rows past full rank are never built.  A
-ring map never raises rank, so full rank mod p is a proof of full rank.
-Otherwise the exact rows are built, the mod-p kernel basis is lifted by
-rational reconstruction (through both embeddings w -> s and w -> -s in
-quadratic rings) and every lifted vector is checked exactly against
-every row: that many independent kernel vectors bound the exact rank
-from above, so the nullity is proven both ways.  When a lift fails that
-check, one exact Gauss-Jordan elimination over the fraction field
-decides.  There is no floating point anywhere.
+Gauss-Jordan elimination there on rows packed into one int each, one
+slot of 2*bits(p) + bits(ncols) + 1 bits (rounded up to bytes) per
+column, so a row step is one big-int multiply-add that never carries
+between slots (`_rref`).  For a point set the rows mod p come from the
+coordinates: each point's coordinates are mapped into F_p once and its
+monomials are formed mod p, one row at a time as the elimination asks
+for them, so rows past full rank are never built.  A ring map never
+raises rank, so full rank mod p is a proof of full rank.  Otherwise the
+exact rows are built, the mod-p kernel basis is lifted by rational
+reconstruction (through both embeddings w -> s and w -> -s in quadratic
+rings) and every lifted vector is checked exactly against every row:
+that many independent kernel vectors bound the exact rank from above,
+so the nullity is proven both ways.  When a lift fails that check, one
+exact Gauss-Jordan elimination over the fraction field decides.  There
+is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -144,61 +147,86 @@ def _prime_for(ring: Ring, dens) -> tuple[int, int]:
 
 def _rref(rows, ncols: int, p: int | None = None):
     """Pivot columns and reduced row echelon rows of `rows`: residue rows
-    over F_p when `p` is given, `RElem` rows over the fraction field
-    otherwise.
+    in [0, p) over F_p when `p` is given, `RElem` rows over the fraction
+    field otherwise.
 
     Rows are inserted one at a time.  Each is reduced against the
     echelon rows in pivot order, which leaves it zero at every pivot, so
-    its first nonzero entry is a new pivot.  The pass stops as soon as
-    every column has a pivot, and later rows are never read; the reduced
-    form is then the identity.  Below full rank one back pass at the end
-    clears every pivot column above its pivot."""
+    its first nonzero entry in another column is a new pivot.  The pass
+    stops as soon as every column has a pivot, and later rows are never
+    read; the reduced form is then the identity.  Below full rank one
+    back pass at the end clears every pivot column above its pivot.
+
+    Mod p a row is one int, column j in little-endian bytes
+    [j*B, (j+1)*B), and v - f*w is v + (p - f)*w for a monic row w in
+    [0, p).  Slots start below p and a step adds below p^2, so they stay
+    below p + ncols*p^2 < 2^(2*bits(p) + bits(ncols) + 1) <= 2^(8*B).  A
+    row is reduced only when unpacked: on insertion, before it is
+    subtracted in the back pass, and at the end."""
     if p is None:
-        def sub(v, f, w):  # v - f*w
-            return [x - f * y for x, y in zip(v, w)]
+        pack = unpack = list
+        entry = list.__getitem__
 
-        def monic(v):
-            scale = v[0].inverse()
-            return [x * scale for x in v]
+        def submul(v, c, f, w):  # v - f*w, where w is zero before c
+            return v[:c] + [x - f * y for x, y in zip(v[c:], w[c:])]
+
+        def monic(v, c):
+            scale = v[c].inverse()
+            return v[:c] + [x * scale for x in v[c:]]
     else:
-        def sub(v, f, w):
-            return [(x - f * y) % p for x, y in zip(v, w)]
+        size = (2 * p.bit_length() + ncols.bit_length() + 8) // 8
+        mask = (1 << 8 * size) - 1
 
-        def monic(v):
-            scale = pow(v[0], -1, p)
-            return [x * scale % p for x in v]
+        def pack(xs):
+            return int.from_bytes(b"".join([x.to_bytes(size, "little") for x in xs]),
+                                  "little")
 
-    # (pivot, tail) in pivot order; tail is the row from its pivot on,
-    # starting with 1, and the row is 0 before its pivot
-    echelon: list = []
+        def unpack(v):
+            b = v.to_bytes(ncols * size, "little")
+            return [int.from_bytes(b[i:i + size], "little") % p
+                    for i in range(0, len(b), size)]
+
+        def entry(v, j):
+            return (v >> 8 * size * j & mask) % p
+
+        def submul(v, c, f, w):
+            return v + (p - f) * w
+
+        def monic(v, c):
+            xs = unpack(v)
+            scale = pow(xs[c], -1, p)
+            return pack([x * scale % p for x in xs])
+
+    echelon: list = []  # (pivot, monic row) in pivot order
+    free = list(range(ncols))
     for v in rows:
-        for c, tail in echelon:
-            f = v[c]
+        v = pack(v)
+        for c, w in echelon:
+            f = entry(v, c)
             if f:
-                v = v[:c] + sub(v[c:], f, tail)
-        lead = next((j for j, x in enumerate(v) if x), None)
+                v = submul(v, c, f, w)
+        lead = next((j for j in free if entry(v, j)), None)
         if lead is None:
             continue
-        insort(echelon, (lead, monic(v[lead:])))
-        if len(echelon) == ncols:
+        free.remove(lead)
+        insort(echelon, (lead, monic(v, lead)))
+        if not free:
             break
-    pivots = [c for c, _ in echelon]
-    if not echelon:
-        return pivots, []
-    one = echelon[0][1][0]
-    zero = one - one
-    if len(echelon) == ncols:
+    pivots, R = [c for c, _ in echelon], [w for _, w in echelon]
+    if R and not free:
+        one = unpack(R[0])[0]
+        zero = one - one
         return pivots, [[one if i == j else zero for j in range(ncols)]
                         for i in range(ncols)]
-    tails = [tail for _, tail in echelon]
-    for i in range(len(echelon) - 1, 0, -1):
-        c = pivots[i]
+    for i in range(len(R) - 1, -1, -1):
+        # no later step changes row i: unpack it, subtract it reduced
+        R[i] = unpack(R[i])
+        w = pack(R[i])
         for h in range(i):
-            at = c - pivots[h]
-            f = tails[h][at]
+            f = entry(R[h], pivots[i])
             if f:
-                tails[h][at:] = sub(tails[h][at:], f, tails[i])
-    return pivots, [[zero] * c + tail for c, tail in echelon]
+                R[h] = submul(R[h], pivots[i], f, w)
+    return pivots, R
 
 
 def _ratrecon(u: int, p: int) -> tuple[int, int] | None:
@@ -311,6 +339,8 @@ def certified_kernel(rows: list[list[RElem]], ncols: int) -> Kernel:
     a nonempty matrix, certified as described in the module docstring."""
     if not rows:
         raise ValueError("need at least one row")
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"every row needs {ncols} entries")
 
     def image(h, p):
         return ([h(x) for x in row] for row in rows)
@@ -379,6 +409,8 @@ def generic_variety_baseline(A, k: int, degree: int, count: int, seed: int) -> i
     """Baseline nullity from pseudorandom field-valued points of the
     length-k factorization variety, sampled by lifting random integer
     tails through the length-3 fibration."""
+    if k < 3:
+        raise ValueError(f"the fibration needs k >= 3, got {k}")
     rng = random.Random(seed)
     ring = A.ring
     pts = []

@@ -396,6 +396,28 @@ def test_density_rejects_long_seed(capsys):
     assert code == 1 and "length 5 > --k -5" in err
 
 
+@pytest.mark.parametrize("seed", [["--point", '["1","1"]'], []],
+                         ids=["point", "euclid"])
+def test_density_matrix_mode_rejects_k_below_three(capsys, no_density_work, seed):
+    # (1 1; 1 2) = L(1)U(1) has a length-2 word, but the baseline lifts
+    # points through the length-3 fibration, so k = 2 has no baseline
+    code, lines, err = run(capsys, "density", "--ring", "Z", "--matrix",
+                           '{"a":"1","c":"1","b":"1","d":"2"}', "--k", "2",
+                           *seed, "-n", "5")
+    assert code == 1 and not lines
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--k must be at least 3 with --matrix, got 2" in err
+
+
+def test_density_matrix_mode_k3(capsys):
+    code, lines, _ = run(capsys, "density", "--ring", "Z", "--matrix",
+                         '{"a":"1","c":"1","b":"1","d":"2"}', "--k", "3",
+                         "--point", '["1","1"]', "-n", "5")
+    assert code == 0 and lines == [
+        {"k": 3, "D": 2, "monomials": 10, "points": 1, "nullity": 9,
+         "baseline": 9, "dense_at_D": True}]
+
+
 # -- units ------------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -232,6 +233,113 @@ def test_kernel_exact_path_at_evaluation_size(Z_half):
     assert got.method == "exact" and got.rank == 25
 
 
+def test_kernel_rejects_ragged_rows(Z):
+    for rows in ([[Z.el(1), Z.el(2), Z.el(3)]],
+                 [[Z.el(1), Z.el(2)], [Z.el(3)]]):
+        with pytest.raises(ValueError, match="every row needs 2 entries"):
+            certified_kernel(rows, 2)
+
+
+# -- elimination mod p ----------------------------------------------------------
+
+
+def gauss_mod_p(rows, ncols, p):
+    """Pivots and reduced row echelon rows of `rows` by plain Gauss-Jordan
+    over F_p, one list entry at a time."""
+    M = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[top], M[piv] = M[piv], M[top]
+        s = pow(M[top][c], -1, p)
+        M[top] = [x * s % p for x in M[top]]
+        for i in range(len(M)):
+            if i != top and M[i][c]:
+                f = M[i][c]
+                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[top])]
+        pivots.append(c)
+    return pivots, M[:len(pivots)]
+
+
+def rref_mod_p(rows, ncols, p):
+    """`density._rref` on `rows` fed through a generator, and how many
+    rows it pulled."""
+    pulled = 0
+
+    def feed():
+        nonlocal pulled
+        for row in rows:
+            pulled += 1
+            yield row
+
+    return density._rref(feed(), ncols, p), pulled
+
+
+# a packed slot has 2*bits(p) + bits(ncols) + 1 bits rounded up to whole
+# bytes; for these primes some column counts need no rounding, so a slot
+# one byte narrower could not hold even one step: 16-31 columns for
+# 2^61 - 1 and 8191, 64-127 for the 60-bit prime and 251, 4-7 for 61
+# and 2, 1 for 7
+RREF_PRIMES = [2**61 - 1, 2**60 - 93, 8191, 251, 61, 7, 2]
+
+
+@st.composite
+def residue_matrices(draw):
+    p = draw(st.sampled_from(RREF_PRIMES))
+    ncols = draw(st.integers(1, 150))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        return rnd.choice([0, 1, p - 1, rnd.randrange(p)])
+
+    # independent rows, then zero rows, duplicates and combinations of
+    # them, shuffled: rank below ncols runs the back pass
+    rows = [[entry() for _ in range(ncols)]
+            for _ in range(draw(st.integers(0, min(ncols, 12))))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["zero", "copy", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        elif kind == "copy":
+            rows.append(list(rnd.choice(rows)))
+        else:
+            a, b, u, v = entry(), entry(), rnd.choice(rows), rnd.choice(rows)
+            rows.append([(a * x + b * y) % p for x, y in zip(u, v)])
+    rnd.shuffle(rows)
+    return rows, ncols, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices())
+def test_rref_mod_p_matches_gauss(data):
+    rows, ncols, p = data
+    (pivots, R), pulled = rref_mod_p(rows, ncols, p)
+    assert (pivots, R) == gauss_mod_p(rows, ncols, p)
+    # rows past full rank are never pulled from the input
+    full = next((m for m in range(ncols, len(rows) + 1)
+                 if len(gauss_mod_p(rows[:m], ncols, p)[0]) == ncols), None)
+    assert pulled == (len(rows) if full is None else full)
+
+
+@pytest.mark.parametrize("p", RREF_PRIMES)
+@pytest.mark.parametrize("ncols", [2, 5, 31, 127, 150])
+def test_rref_mod_p_fullest_slots(p, ncols):
+    # rows e_j - e_last, then all ones: the last row takes ncols - 1
+    # steps that each add (p - 1)^2 to its last slot, close to the
+    # p + ncols*p^2 the slot width is sized for; then rows of p - 1
+    last = ncols - 1
+    stairs = [[1 if j == i else p - 1 if j == last else 0 for j in range(ncols)]
+              for i in range(last)]
+    for rows in (stairs + [[1] * ncols], stairs + [[p - 1] * ncols],
+                 [[p - 1] * ncols] * 3):
+        (pivots, R), pulled = rref_mod_p(rows, ncols, p)
+        assert (pivots, R) == gauss_mod_p(rows, ncols, p)
+        assert pulled == len(rows)
+
+
 def test_kernel_fast_paths(Z, Zr2):
     full = certified_kernel([[Z.el(1), Z.el(2)], [Z.el(3), Z.el(4)]], 2)
     assert (full.rank, full.method, full.basis) == (2, "modular", [])
@@ -427,6 +535,17 @@ def test_generic_baselines_deterministic(Z_half):
     u1 = vanishing_space_dim(random_unit_points(Z_half, 2, 8, 5), 2)
     assert u1 == vanishing_space_dim(random_unit_points(Z_half, 2, 8, 5), 2)
     assert u1 == comb(2, 2) == 1
+
+
+def test_generic_baseline_needs_k3(Z):
+    # samples are lifted through the length-3 fibration, so below k = 3
+    # they would not lie in the space of k-variable polynomials
+    A = Mat2(Z.el(1), Z.el(1), Z.el(1), Z.el(2))
+    for k in (2, 1, 0, -1):
+        with pytest.raises(ValueError, match="k >= 3"):
+            generic_variety_baseline(A, k, 2, 5, 0)
+    # k = 3 keeps its one fiber: the point (1, 1, 0) repeated
+    assert generic_variety_baseline(A, 3, 2, 5, 0) == 9
 
 
 def test_random_unit_points(Z_half):
