@@ -391,7 +391,11 @@ def vanishing_basis(points: Sequence, degree: int) -> tuple[list[list[RElem]], l
 
 
 def density_report(points: Sequence, degree: int, *, baseline: int = 0) -> dict:
-    """Full density verdict as a plain dict ready for JSON output."""
+    """Full density verdict as a plain dict ready for JSON output.
+
+    `points` counts the points passed in, repeats included, not the
+    distinct ones; repeats add no rows of new rank to the nullity.
+    """
     nullity = vanishing_space_dim(points, degree)
     k = len(_point_entries(points[0]))
     return {

@@ -13,6 +13,11 @@ with the surrounding product unchanged.  The output is integral
 whenever the input is and v = 1 (mod a).  For a = 0 the window slides
 by a shear instead.  Both facts hold at any window position and for
 every word shape because all shapes share the same defining equations.
+
+Both are one step (v, 1/v, c1, c4) taking the window to (x1 + c1 x3,
+v x2, 1/v x3, x4 + c4 x2): a unit has c1 = (1 - 1/v)/a, c4 = (1 - v)/a,
+and a shear by u is the case v = 1, c1 = u, c4 = -u.  `orbit_run`
+builds the steps of each modulus once per run.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ from heapq import heappop, heappush
 
 from .continuants import vk_membership
 from .matrices import Mat2, Word
-from .rings import RElem, UnitsResult, units_congruent_one
+from .rings import RElem, units_congruent_one
 from .varieties import MembershipError, _require_member
 
 ORBIT_BUDGET = 10**5
+Step = tuple[RElem, RElem, RElem, RElem]  # (v, 1/v, c1, c4)
 
 
 def window_modulus(P: Word, i: int) -> RElem:
@@ -35,46 +41,54 @@ def window_modulus(P: Word, i: int) -> RElem:
     return 1 + P.entries[i] * P.entries[i + 1]
 
 
+def _unit_step(a: RElem, v: RElem) -> Step:
+    """The step of the unit action by v on windows of modulus a != 0."""
+    vinv, ainv = v.inverse(), a.inverse()
+    return v, vinv, (1 - vinv) * ainv, (1 - v) * ainv
+
+
+def _shear_step(u: RElem) -> Step:
+    """The step of the shear by u: the unit step with v = 1."""
+    return u.ring.one, u.ring.one, u, -u
+
+
+def _apply(P: Word, i: int, step: Step) -> Word:
+    """P with the window at 1-based start i rewritten by step."""
+    v, vinv, c1, c4 = step
+    e = P.entries
+    x1, x2, x3, x4 = e[i - 1:i + 3]
+    return Word(P.shape, e[:i - 1] + (x1 + c1 * x3, v * x2, vinv * x3,
+                                      x4 + c4 * x2) + e[i + 3:])
+
+
 def act_v(P: Word, i: int, v) -> Word:
     """Rewrite the window at i by the unit action with parameter v.
 
     Needs a nonzero window modulus and nonzero v.  Works over the whole
     fraction field; integrality of the output is the caller's concern
     (it holds when P is integral, v is a unit, and v = 1 mod a).
+    `orbit_run` applies the same step, built once per (modulus, unit).
     """
     a = window_modulus(P, i)
     if not a:
         raise ValueError("window modulus is zero; use act_a0")
-    ring = a.ring
-    v = ring.el(v)
+    v = a.ring.el(v)
     if not v:
         raise ValueError("v must be nonzero")
-    vinv = v.inverse()
-    e = list(P.entries)
-    x1, x2, x3, x4 = e[i - 1:i + 3]
-    e[i - 1] = x1 + (1 - vinv) * x3 / a
-    e[i] = v * x2
-    e[i + 1] = vinv * x3
-    e[i + 2] = x4 + (1 - v) * x2 / a
-    return Word(P.shape, tuple(e))
+    return _apply(P, i, _unit_step(a, v))
 
 
 def act_a0(P: Word, i: int, u) -> Word:
     """Shear the window at i when its modulus vanishes.
 
-    The window becomes (x1 + u x3, x2, x3, x4 - u x2); the action is
-    additive in u and preserves integrality for integral u.
+    The window becomes (x1 + u x3, x2, x3, x4 - u x2), the unit step
+    with v = 1; the action is additive in u and preserves integrality
+    for integral u.
     """
     a = window_modulus(P, i)
     if a:
         raise ValueError("window modulus is nonzero; use act_v")
-    ring = a.ring
-    u = ring.el(u)
-    e = list(P.entries)
-    x1, x2, x3, x4 = e[i - 1:i + 3]
-    e[i - 1] = x1 + u * x3
-    e[i + 2] = x4 - u * x2
-    return Word(P.shape, tuple(e))
+    return _apply(P, i, _shear_step(a.ring.el(u)))
 
 
 def a1_families(A: Mat2, u) -> tuple[Word, Word]:
@@ -121,12 +135,6 @@ class OrbitRun:
         return [rec.point for rec in self.records]
 
 
-def _shear_params(count: int):
-    for j in range(1, count + 1):
-        yield j
-        yield -j
-
-
 def _height(P: Word) -> int:
     """Total coordinate bits: max(|a|, |b|, r) bit lengths summed."""
     return sum(max(abs(x.a), abs(x.b), x.r).bit_length() for x in P.entries)
@@ -150,6 +158,9 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if units_per_window < 1:
+        raise ValueError(
+            f"units_per_window must be at least 1, got {units_per_window}")
     _require_member(A, seed)
     if not seed.integral:
         raise MembershipError(f"seed {seed} is not integral over {A.ring}")
@@ -160,7 +171,12 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
     stalled: list[RElem] = []
     exhausted = False
     spent = 0
-    units_for: dict[RElem, UnitsResult] = {}  # window modulus -> its units
+    # window modulus -> its (action, parameter, step) moves; shears by
+    # 1, -1, 2, -2, ... at modulus 0
+    shears = [ring.el(s * j) for j in range(1, units_per_window + 1)
+              for s in (1, -1)]
+    moves_for: dict[RElem, list[tuple[str, RElem, Step]]] = {
+        ring.zero: [("shear", u, _shear_step(u)) for u in shears]}
 
     def emit(child: Word, window: int, action: str, parameter: RElem) -> bool:
         if child in seen:
@@ -182,19 +198,15 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
                 break
             spent += 1
             a = window_modulus(P, i)
-            if a:
-                found = units_for.get(a)
-                if found is None:
-                    found = units_for[a] = units_congruent_one(
-                        ring, a, units_per_window)
-                    if found.stalled:
-                        stalled.append(a)
-                done = any(emit(act_v(P, i, v), i, "unit", v)
-                           for v in found.units)
-            else:
-                done = any(emit(act_a0(P, i, ring.el(u)), i, "shear", ring.el(u))
-                           for u in _shear_params(units_per_window))
-            if done:
+            moves = moves_for.get(a)
+            if moves is None:
+                found = units_congruent_one(ring, a, units_per_window)
+                if found.stalled:
+                    stalled.append(a)
+                moves = moves_for[a] = [("unit", v, _unit_step(a, v))
+                                        for v in found.units]
+            if any(emit(_apply(P, i, step), i, action, parameter)
+                   for action, parameter, step in moves):
                 break
 
     if (len(records) < n and not exhausted and seed.k == 4

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import json
 import pkgutil
 
 import pytest
@@ -24,6 +26,7 @@ from sl2factor import (
     window_modulus,
     word_to_matrix,
 )
+from sl2factor.matrices import WORD_SHAPES
 
 
 def mat(ring, a, c, b, d):
@@ -151,6 +154,56 @@ def test_act_a0_gate(Z):
         act_a0(pt(Z, 1, 1, 1, 1), 1, 1)
 
 
+# -- both actions against their formulas, written out here ----------------
+
+
+@st.composite
+def elements(draw, ring):
+    b = draw(st.integers(-6, 6)) if ring.is_quadratic else 0
+    return ring.el(draw(st.integers(-6, 6)), b, draw(st.integers(1, 6)))
+
+
+@st.composite
+def windows(draw):
+    """A word of any shape and length 4-7 over the fraction field of one
+    of three rings, a window start in it, and one more element."""
+    ring = make_ring(draw(st.sampled_from(
+        ["Z[1/6]", "Z[sqrt(2)]", "Z[sqrt(2),1/2]"])))
+    k = draw(st.integers(4, 7))
+    entries = draw(st.lists(elements(ring), min_size=k, max_size=k))
+    P = Word(draw(st.sampled_from(WORD_SHAPES)), tuple(entries))
+    return P, draw(st.integers(1, k - 3)), draw(elements(ring))
+
+
+def rewritten(P, i, window):
+    e = P.entries
+    return Word(P.shape, e[:i - 1] + window + e[i + 3:])
+
+
+@settings(max_examples=200)
+@given(case=windows())
+def test_act_v_matches_formula(case):
+    P, i, v = case
+    x1, x2, x3, x4 = P.entries[i - 1:i + 3]
+    a = 1 + x2 * x3
+    assume(a and v)
+    want = (x1 + (1 - 1 / v) * x3 / a, v * x2, x3 / v, x4 + (1 - v) * x2 / a)
+    assert act_v(P, i, v) == rewritten(P, i, want)
+
+
+@settings(max_examples=200)
+@given(case=windows())
+def test_act_a0_matches_formula(case):
+    P, i, u = case
+    x2 = P.entries[i]
+    assume(x2)
+    P = rewritten(P, i, (P.entries[i - 1], x2, -1 / x2, P.entries[i + 2]))
+    x1, x2, x3, x4 = P.entries[i - 1:i + 3]
+    assert 1 + x2 * x3 == 0
+    want = (x1 + u * x3, x2, x3, x4 - u * x2)
+    assert act_a0(P, i, u) == rewritten(P, i, want)
+
+
 # -- explicit families ------------------------------------------------------
 
 
@@ -190,6 +243,19 @@ def test_orbit_gates(Z):
         orbit_run(A, pt(Z, 1, 1, 1, 1), 0)
     with pytest.raises(MembershipError):
         orbit_run(A, pt(Z, 1, 1, 1, 2), 3)
+
+
+@pytest.mark.parametrize("units_per_window", [0, -1])
+def test_orbit_rejects_units_per_window_below_one(Z, units_per_window):
+    # refused before any work: the non-member seed is never checked, and
+    # the last seed's only window is a shear window, which runs no unit
+    # search that could notice the count
+    shear_only = pt(Z, 0, 1, -1, 0)
+    for A, seed in ((mat(Z, 2, 3, 3, 5), pt(Z, 1, 1, 1, 2)),
+                    (mat(Z, 2, 3, 3, 5), pt(Z, 1, 1, 1, 1)),
+                    (word_to_matrix(shear_only), shear_only)):
+        with pytest.raises(ValueError, match="units_per_window"):
+            orbit_run(A, seed, 3, units_per_window=units_per_window)
 
 
 def test_orbit_rejects_non_integral_seed(Z):
@@ -278,6 +344,46 @@ def test_orbit_coordinates_stay_small(spec, k, n, units_per_window):
     bits = max(max(abs(x.a), abs(x.b), x.r).bit_length()
                for P in run.points for x in P.entries)
     assert bits <= 64
+
+
+def orbit_digest(run) -> str:
+    """sha256 over (entries, window, action, parameter) of every record."""
+    h = hashlib.sha256()
+    for rec in run.records:
+        param = None if rec.parameter is None else str(rec.parameter)
+        entries = [str(x) for x in rec.point.entries]
+        line = [entries, rec.window, rec.action, param]
+        h.update(json.dumps(line).encode() + b"\n")
+    return h.hexdigest()
+
+
+# The six orbit configs of the benchmark's orbit_cli workload at a tenth
+# of their size (at least 10), then criterion 9's full orbit.  The digests
+# were computed with the code that rebuilt every window action from its
+# modulus and unit per child, before the steps were built once per run.
+@pytest.mark.parametrize("spec, k, n, units_per_window, digest", [
+    ("Z[sqrt(2)]", 4, 150, 2,
+     "6bb67318e2bd63d4541d958ac7f28c1051c6e5899e4a3ab850fc1cad2efa6883"),
+    ("Z[sqrt(5)]", 4, 60, 2,
+     "2b65937e09bb14893e21cc0cbcc40ef68b58b9573f1a2232e7183cae9968e463"),
+    ("Z[sqrt(2),1/2]", 4, 60, 2,
+     "5ae3caa3ea2105fd573f1c0413495e5a751811426a428007884113279d0ca97e"),
+    ("Z[sqrt(2)]", 6, 30, 2,
+     "876b9338fc630a006cc5a11d14f8176adee822a6d414c8c9786e91f4f8c10e80"),
+    ("Z[1/2]", 9, 60, 2,
+     "a1c17a8f1b95217e0963c63abcbc73d27017dc8938392dfd7f301ce9a2948e40"),
+    ("Z[1/6]", 6, 60, 2,
+     "bedf36ebc4c5b53f3fc8b2fb63207575173144515449ef7c56b04affd2f26af4"),
+    ("Z[1/2]", 9, 600, 1,
+     "add3968467625bbb62276726ddc132d9c95224f720db4109f139e90bd12dfa12"),
+])
+def test_orbit_golden(spec, k, n, units_per_window, digest):
+    R = make_ring(spec)
+    A = mat(R, 2, 3, 3, 5)
+    run = orbit_run(A, pad(pt(R, 1, 1, 1, 1), A, k), n,
+                    units_per_window=units_per_window)
+    assert len(run.records) == n and not run.exhausted
+    assert orbit_digest(run) == digest
 
 
 def package_cache_sizes() -> dict[str, int]:
