@@ -117,6 +117,19 @@ def elem(kind: str, x: RElem) -> Mat2:
     raise ValueError(f"unknown elementary kind {kind!r}")
 
 
+def _times_elem(m: tuple, kind: str, x: RElem) -> tuple:
+    """Entries (a, c, b, d) of M·elem(kind, x) from those of M, in two
+    products and two sums.  Word loops carry bare entries through this
+    step, not a `Mat2` per letter: an elementary factor keeps the
+    determinant, so the one `Mat2` a loop returns or solves checks it."""
+    a, c, b, d = m
+    if kind == "L":
+        return a + c * x, c, b + d * x, d
+    if kind == "U":
+        return a, c + a * x, b, d + b * x
+    return a * x + c, a, b * x + d, b  # D
+
+
 def letter_kind(shape: str, position: int) -> str:
     """Generator kind at 1-based position within a word of the given shape."""
     if shape == "lower":
@@ -177,12 +190,12 @@ def word_to_matrix(word: Word, *, ring: Ring | None = None) -> Mat2:
         ring = word.entries[0].ring
     elif ring is None:
         raise ValueError("empty word needs an explicit ring")
-    out = identity(ring)
+    m = (ring.one, ring.zero, ring.zero, ring.one)
     for pos, x in enumerate(word.entries, start=1):
-        out = out @ elem(letter_kind(word.shape, pos), x)
+        m = _times_elem(m, letter_kind(word.shape, pos), x)
     if word.shape == "D" and word.k % 2 == 1:
-        out = out @ t_matrix(ring)  # t^k collapses to t for odd k
-    return out
+        m = m[1], m[0], m[3], m[2]  # times t^k = t: swap the columns
+    return Mat2(*m)
 
 
 # -- JSON payloads -----------------------------------------------------

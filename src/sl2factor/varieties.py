@@ -4,17 +4,19 @@ equations.
 A point is a `Word`: a tuple (x1, ..., xk) whose word of the recorded
 shape multiplies out to a fixed matrix A.  Everything here re-checks
 membership through the continuant route before returning, so a
-constructed point is always a verified one.
+constructed point is always a verified one.  The box search and the
+fiber peel multiply words out through one letter step, not a `Mat2` per
+letter.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .continuants import vk_membership
-from .matrices import Mat2, Word, elem, identity, letter_kind, shape_target
+from .matrices import (Mat2, Word, _times_elem, identity, letter_kind,
+                       shape_target)
 from .rings import RElem, Ring
 
 ENUM_HALF_CAP = 10**8
@@ -166,10 +168,10 @@ def fiber_lift(A: Mat2, tail: Sequence[RElem]) -> Word | None:
     ring = A.ring
     tail = tuple(tail)
     k = len(tail) + 3
-    B = A
+    m = (A.a, A.c, A.b, A.d)
     for pos in range(k, 3, -1):
-        B = B @ elem(letter_kind("lower", pos), -tail[pos - 4])
-    sol = solve_k3(B)
+        m = _times_elem(m, letter_kind("lower", pos), -tail[pos - 4])
+    sol = solve_k3(Mat2(*m))
     if sol.kind == "empty":
         return None
     if sol.kind == "unique":
@@ -292,15 +294,48 @@ def coordinate_box(ring: Ring, bound: HeightBound) -> list[RElem]:
     return sorted(vals)
 
 
+def _fields(m: tuple) -> tuple[int, ...]:
+    # RElem fields are canonical: equal keys are equal matrices
+    a, c, b, d = m
+    return (a.a, a.b, a.r, c.a, c.b, c.r, b.a, b.b, b.r, d.a, d.b, d.r)
+
+
+def _walk(start: tuple, kinds: Sequence[str], letters: Sequence[RElem]):
+    """Yield (indices, entries of start·elem(kinds[0], letters[i1])·…) for
+    every word, depth first in itertools.product order: words that share
+    a prefix share its product.  The stack is explicit and drops a product
+    once its last child is taken, so a long word costs no recursion and
+    two list slots per letter."""
+    path, prods, i = [], [start], 0
+    while True:
+        if len(path) == len(kinds):
+            yield tuple(path), prods[-1]
+        elif i < len(letters):
+            M = prods[-1]
+            if i == len(letters) - 1:
+                prods[-1] = None
+            prods.append(_times_elem(M, kinds[len(path)], letters[i]))
+            path.append(i)
+            i = 0
+            continue
+        if not path:
+            return
+        i = path.pop() + 1
+        prods.pop()
+
+
 def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
                              half_cap: int = ENUM_HALF_CAP) -> list[Word]:
     """Every solution tuple of length k inside the height box, in
     lexicographic order of the entries.
 
-    Meet in the middle: the word is split at k//2, all left half-products
-    are tabulated by their matrix, and each right half-product is matched
-    against the table.  Raises BudgetError when either half would exceed
-    half_cap candidates.
+    Meet in the middle at j = k//2, each half walked with shared
+    prefixes: the left halves from the identity into a table keyed by
+    their entries, the right halves from the target, peeling xk, ...,
+    x(j+1) off its end, which leaves target·elem(-xk)·…·elem(-x(j+1)),
+    the very left product a match needs.  Raises BudgetError when a half
+    of e letters over a box of n values would take more than half_cap
+    letters, e·n^e; the gate never forms a power larger than the cap.
     """
     if A.det() != 1:
         raise ValueError("enumeration target must have determinant 1")
@@ -313,24 +348,22 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
         return [Word(shape, ())] if ok else []
     box = coordinate_box(ring, bound)
     j = k // 2
-    if len(box) ** max(j, k - j) > half_cap:
-        raise BudgetError(f"{len(box)}^{max(j, k - j)} half-words exceed the cap")
+    n, e = len(box), max(j, k - j)
+    # with n >= 2, n^e > half_cap once e exceeds its bit length
+    if (n > 1 and e > half_cap.bit_length()) or e * n**e > half_cap:
+        raise BudgetError(f"{n}^{e} half-words of {e} letters exceed the cap")
 
-    table: dict[Mat2, list[tuple[RElem, ...]]] = {}
-    for combo in itertools.product(box, repeat=j):
-        M = identity(ring)
-        for pos, x in enumerate(combo, start=1):
-            M = M @ elem(letter_kind("lower", pos), x)
-        table.setdefault(M, []).append(combo)
-
+    one, zero = ring.one, ring.zero
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    kinds = [letter_kind("lower", pos) for pos in range(1, j + 1)]
+    for left, m in _walk((one, zero, zero, one), kinds, box):
+        table.setdefault(_fields(m), []).append(left)
     out = []
-    for combo in itertools.product(box, repeat=k - j):
-        M = identity(ring)
-        for offset, x in enumerate(combo):
-            M = M @ elem(letter_kind("lower", j + 1 + offset), x)
-        need = target @ M.inverse()
-        for left in table.get(need, ()):
-            xs = left + combo
+    kinds = [letter_kind("lower", pos) for pos in range(k, j, -1)]
+    for right, need in _walk((target.a, target.c, target.b, target.d), kinds,
+                             [-x for x in box]):
+        for left in table.get(_fields(need), ()):
+            xs = tuple(box[i] for i in left + right[::-1])
             if vk_membership(target, xs, "lower"):  # fail-closed recheck
                 out.append(xs)
     out.sort()

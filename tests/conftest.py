@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from sl2factor import Mat2, RElem, Ring, Word, make_ring, word_to_matrix
+from sl2factor import (Mat2, RElem, Ring, Word, elem, identity, make_ring,
+                       t_matrix, word_to_matrix)
 
 
 @pytest.fixture
@@ -100,6 +101,23 @@ def oword_lower(ring: Ring, xs) -> tuple:
 def assert_matches_oracle(ring: Ring, xs):
     got = word_to_matrix(Word("lower", tuple(xs)), ring=ring)
     assert omat(got) == oword_lower(ring, xs)
+
+
+def elem_product(ring: Ring, shape: str, xs) -> Mat2:
+    """A word's matrix as the literal product of the public generators and
+    `Mat2 @`: L(x1) U(x2) ... for lower, U(x1) L(x2) ... for upper, and
+    D(x1) ... D(xk) t^k for D words."""
+    M = identity(ring)
+    for pos, x in enumerate(xs, start=1):
+        if shape == "D":
+            kind = "D"
+        else:
+            kind = "L" if (pos % 2 == 1) == (shape == "lower") else "U"
+        M = M @ elem(kind, x)
+    if shape == "D":
+        for _ in xs:
+            M = M @ t_matrix(ring)
+    return M
 
 
 # -- random data helpers --------------------------------------------------

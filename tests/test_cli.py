@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -240,6 +241,71 @@ def test_enum_budget_exhausted(capsys):
                            "--k", "12", "--bound", "20")
     assert code == 3 and not lines
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize("k, bound", [("200000000", "1"), ("2000000000", "0")])
+def test_enum_budget_gate_is_cheap(k, bound):
+    # a huge half (3^(10^8) words) and a one-element box (10^9 letters
+    # per half) are refused before any power or half-word is formed
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "sl2factor.cli", "enum", "--ring", "Z",
+           "--matrix", A_2335, "--k", k, "--bound", bound]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=2)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr.startswith("budget exhausted:")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_enum_long_word_over_one_letter(capsys):
+    # 1500 letters per half over the box {0}: walked without recursion
+    code, lines, err = run(capsys, "enum", "--ring", "Z", "--matrix", A_2335,
+                           "--k", "3000", "--bound", "0")
+    assert code == 2 and not lines
+    assert "Traceback" not in err
+
+
+# box searches whose stdout and exit codes are pinned by one sha256, taken
+# on the Mat2-per-letter enumeration before the letter-step walk replaced it
+GOLDEN_BOX_SEARCHES = [
+    ["enum", "--ring", "Z", "--matrix", IDENTITY, "--k", "3", "--bound", "2"],
+    ["factor", "--ring", "Z", "--matrix", '{"a":"2","c":"1","b":"1","d":"1"}',
+     "--k", "3", "--bound", "2"],
+    ["enum", "--ring", "Z[1/2]", "--matrix", A_2335, "--k", "4",
+     "--bound", "1,1"],
+    ["enum", "--ring", "Z[1/2]", "--matrix", A_2335, "--k", "5",
+     "--bound", "1,1", "--shape", "upper"],
+    ["enum", "--ring", "Z[1/2]", "--matrix", IDENTITY, "--k", "4",
+     "--bound", "1,1", "--shape", "D"],
+    ["enum", "--ring", "Z", "--matrix", A_2335, "--k", "4", "--bound", "2",
+     "--shape", "upper"],
+    ["enum", "--ring", "Z", "--matrix", A_2335, "--k", "5", "--bound", "2",
+     "--shape", "D"],
+    ["enum", "--ring", "Z", "--matrix", '{"a":"0","c":"1","b":"-1","d":"0"}',
+     "--k", "3", "--bound", "2", "--shape", "D"],
+    ["enum", "--ring", "Z[sqrt(2)]", "--matrix", IDENTITY, "--k", "2",
+     "--bound", "1"],
+    ["enum", "--ring", "Z", "--matrix", IDENTITY, "--k", "0", "--bound", "1"],
+    ["enum", "--ring", "Z", "--matrix", '{"a":"-1","c":"0","b":"0","d":"-1"}',
+     "--k", "3", "--bound", "2"],
+    ["enum", "--ring", "Z", "--matrix", IDENTITY, "--k", "12", "--bound", "20"],
+    ["factor", "--ring", "Z[1/2]", "--matrix", A_2335, "--k", "4",
+     "--bound", "1,1", "--shape", "upper"],
+    ["factor", "--ring", "Z", "--matrix", A_2335, "--k", "2", "--bound", "3"],
+    ["factor", "--ring", "Z", "--matrix", A_2335, "--k", "5", "--bound", "2",
+     "--shape", "D"],
+]
+GOLDEN_BOX_SHA256 = (
+    "7fd667e350fd651e238ccea5617c9ef613a2c311edcbc8da4587cd7e51a34ac6")
+
+
+def test_box_searches_are_pinned(capsys):
+    text, codes = "", []
+    for argv in GOLDEN_BOX_SEARCHES:
+        codes.append(main(argv))
+        text += f"{codes[-1]}\n{capsys.readouterr().out}"
+    assert codes == [0] * 10 + [2, 3, 2, 2, 0]
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BOX_SHA256
 
 
 # -- density ----------------------------------------------------------------------

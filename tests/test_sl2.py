@@ -25,7 +25,8 @@ from sl2factor import (
 )
 from sl2factor.matrices import shape_target
 
-from conftest import assert_matches_oracle, rand_int_word, rand_matrix
+from conftest import (assert_matches_oracle, elem_product, rand_int_word,
+                      rand_matrix)
 
 
 def mat(ring, a, c, b, d):
@@ -209,6 +210,19 @@ def test_word_against_fraction_oracle(rng, Z, Zr2, Zr2_half):
     for ring in (Z, Zr2, Zr2_half):
         for k in range(9):
             assert_matches_oracle(ring, rand_int_word(rng, ring, k, 8))
+
+
+def test_word_matches_generator_product(rng, Z, Z_sixth, Zr2, Zr2_half):
+    # every shape, and D words of odd and even length (odd ones end in t)
+    for ring in (Z, Z_sixth, Zr2, Zr2_half):
+        for shape in ("lower", "upper", "D"):
+            for k in range(9):
+                xs = tuple(ring.el(rng.randint(-6, 6),
+                                   rng.randint(-3, 3) if ring.is_quadratic else 0,
+                                   rng.choice((1, 1, 2, 3)))
+                           for _ in range(k))
+                got = word_to_matrix(Word(shape, xs), ring=ring)
+                assert got == elem_product(ring, shape, xs), (shape, k)
 
 
 def test_transpose_reversal(rng, Z):

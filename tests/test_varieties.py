@@ -6,6 +6,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2factor import (
     MINUS_IDENTITY_ENTRIES,
@@ -17,10 +19,12 @@ from sl2factor import (
     Word,
     convert_shape,
     coordinate_box,
+    elem,
     enumerate_points_bounded,
     factor_euclid,
     fiber_lift,
     identity,
+    make_ring,
     pad,
     reverse_point,
     solve_k3,
@@ -30,8 +34,9 @@ from sl2factor import (
     word_to_json,
     word_to_matrix,
 )
+from sl2factor.varieties import _walk
 
-from conftest import rand_int_word, rand_matrix
+from conftest import elem_product, rand_int_word, rand_matrix
 
 
 def mat(ring, a, c, b, d):
@@ -196,6 +201,49 @@ def test_fiber_lift_reproduces_points(rng, Z, Zr2):
             assert vk_membership(A, P.entries)
 
 
+def mat2_peel_lift(A, tail):
+    """fiber_lift as it was written with a Mat2 product per peeled letter:
+    the reference the letter-step peel must reproduce, note included."""
+    B = A
+    for pos in range(len(tail) + 3, 3, -1):
+        B = B @ elem("L" if pos % 2 else "U", -tail[pos - 4])
+    sol = solve_k3(B)
+    if sol.kind == "empty":
+        return None
+    if sol.kind == "unique":
+        return Word("lower", sol.point.entries + tuple(tail))
+    return Word("lower", sol.family_point(A.ring.zero).entries + tuple(tail),
+                "non-generic fiber")
+
+
+def test_fiber_lift_matches_mat2_peel(rng, Z, Z_half, Zr2):
+    kinds = set()
+    for ring in (Z, Z_half, Zr2):
+        for trial in range(60):
+            k = rng.randint(3, 7)
+            # small entries with many zeros, so that c = 0 cores turn up
+            xs = tuple(ring.el(rng.choice((0, 0, 1, -1, 2)), 0,
+                               rng.choice((1, 2)) if ring is Z_half else 1)
+                       for _ in range(k))
+            A = word_to_matrix(Word("lower", xs), ring=ring)
+            tail = xs[3:] if trial % 2 else rand_int_word(rng, ring, k - 3, 2)
+            want, got = mat2_peel_lift(A, tail), fiber_lift(A, tail)
+            assert got == want
+            if want is not None:
+                assert got.note == want.note
+            kinds.add("empty" if want is None else want.note or "unique")
+    # the three outcomes: unique, empty (-I core), family (a = 1, c = 0)
+    cases = [(mat(Z, 2, 3, 3, 5), els(Z, 1)),
+             (mat(Z, -1, -3, 0, -1), els(Z, 3)),
+             (mat(Z, 1, 2, 5, 11), els(Z, 2))]
+    for (A, tail), note in zip(cases, (None, None, "non-generic fiber")):
+        want, got = mat2_peel_lift(A, tail), fiber_lift(A, tail)
+        assert got == want and (got is None) == (A.a == -1)
+        assert got is None or got.note == note
+        kinds.add("empty" if want is None else want.note or "unique")
+    assert kinds == {"unique", "empty", "non-generic fiber"}
+
+
 # -- transports -----------------------------------------------------------
 
 
@@ -324,12 +372,62 @@ def test_coordinate_box_quadratic(Zr2):
 
 
 def naive_solutions(A, k, shape, bound):
+    """Every word of the box whose generator product is A, by brute force:
+    no meet in the middle and no word_to_matrix."""
     box = coordinate_box(A.ring, bound)
     out = []
     for xs in itertools.product(box, repeat=k):
-        if word_to_matrix(Word(shape, xs), ring=A.ring) == A:
+        if elem_product(A.ring, shape, xs) == A:
             out.append(xs)
     return sorted(out)
+
+
+NAIVE_WORDS = 1000  # most words the brute-force oracle multiplies out
+
+
+@st.composite
+def enumeration_cases(draw):
+    ring = make_ring(draw(st.sampled_from(["Z", "Z[1/2]", "Z[1/6]",
+                                           "Z[sqrt(2)]"])))
+    shape = draw(st.sampled_from(["lower", "upper", "D"]))
+    denom_exp = draw(st.integers(0, 1)) if ring.inverted_primes else 0
+    bound = HeightBound(draw(st.integers(0, 2)), denom_exp)
+    box = coordinate_box(ring, bound)
+    k = draw(st.integers(0, 5))
+    while len(box) ** k > NAIVE_WORDS:
+        k -= 1
+    # a target that has a solution in the box, or one of another shape
+    word_shape = draw(st.sampled_from([shape, shape, "lower"]))
+    xs = tuple(box[i] for i in draw(st.lists(
+        st.integers(0, len(box) - 1), min_size=k, max_size=k)))
+    return word_to_matrix(Word(word_shape, xs), ring=ring), k, shape, bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(enumeration_cases())
+def test_enumerate_matches_naive_everywhere(case):
+    A, k, shape, bound = case
+    got = enumerate_points_bounded(A, k, shape, bound)
+    assert [P.entries for P in got] == naive_solutions(A, k, shape, bound)
+    assert all(P.shape == shape for P in got)
+
+
+def test_walk_is_product_order(Z, Z_half):
+    box = coordinate_box(Z_half, HeightBound(1, 1))
+    start = (Z_half.el(2), Z_half.el(3), Z_half.el(3), Z_half.el(5))
+    for kinds in ([], ["L"], ["U", "L"], ["L", "U", "D"]):
+        got = list(_walk(start, kinds, box))
+        assert [idx for idx, _ in got] == list(
+            itertools.product(range(len(box)), repeat=len(kinds)))
+        for idx, m in got:
+            M = Mat2(*start)
+            for kind, i in zip(kinds, idx):
+                M = M @ elem(kind, box[i])
+            assert Mat2(*m) == M
+    # a deep walk over one letter needs no recursion
+    (idx, m), = _walk((Z.one, Z.zero, Z.zero, Z.one), ["L"] * 6000,
+                      [Z.el(1)])
+    assert idx == (0,) * 6000 and Mat2(*m) == elem("L", Z.el(6000))
 
 
 @pytest.mark.parametrize("shape", ["lower", "upper", "D"])
