@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 from .matrices import Word
 from .rings import RElem, Ring, _is_prime
-from .varieties import fiber_lift, unit_product_points
+from .varieties import fiber_lift
 
 BASELINE_TAIL_SPAN = 40
 # the prime search walks down from 2^61 - 1 through p = 3 mod 4, where
@@ -432,7 +432,30 @@ def generic_variety_baseline(A, k: int, degree: int, count: int, seed: int) -> i
 
 
 def random_unit_points(ring: Ring, k: int, count: int, seed: int) -> list[tuple[RElem, ...]]:
-    """`count` pseudorandom points of the unit-product variety x1*...*xk = 1."""
+    """`count` pseudorandom points of the unit-product variety
+    x1*...*xk = 1: k - 1 units followed by the inverse of their product.
+    Each unit is the product of the ring's generators of infinite order,
+    in generator order, each raised to rng.randint(-5, 5), with its sign
+    then drawn by rng.randint(0, 1)."""
+    if k < 2:
+        raise ValueError("need k >= 2")
     rng = random.Random(seed)
-    return [unit_product_points(ring, k, [ring.random_unit(rng) for _ in range(k - 1)])
-            for _ in range(count)]
+    gens = ring.unit_generators()
+    points = []
+    for _ in range(count):
+        units, prod = [], ring.one
+        for _ in range(k - 1):
+            u = ring.one
+            for g in gens:
+                if g == -1:
+                    if rng.randint(0, 1):
+                        u = -u
+                else:
+                    u = u * g ** rng.randint(-5, 5)
+            units.append(u)
+            prod = prod * u
+        last = prod.inverse()
+        if prod * last != 1:
+            raise AssertionError("unit product failed to invert")
+        points.append((*units, last))
+    return points

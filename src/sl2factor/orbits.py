@@ -141,8 +141,7 @@ def _height(P: Word) -> int:
 
 
 def orbit_run(A: Mat2, seed: Word, n: int, *,
-              units_per_window: int = 2,
-              budget: int = ORBIT_BUDGET) -> OrbitRun:
+              units_per_window: int = 2) -> OrbitRun:
     """Height-ordered orbit of a verified integral point under the window
     actions, collecting up to n distinct points.
 
@@ -154,7 +153,9 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
     moduli use shears with small parameters.  When the actions close up
     early on a length-4 word with upper-left entry 1, the two explicit
     solution families top up the set.  Children are integral members by
-    construction; both facts are still asserted on every emission.
+    construction; both facts are still asserted on every emission.  The
+    run stops after ORBIT_BUDGET window attempts (the module value at
+    call time) and reports itself exhausted when that cut it short.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -170,7 +171,7 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
     heap = [(_height(seed), 0, seed)]  # (height, emission index, point)
     stalled: list[RElem] = []
     exhausted = False
-    spent = 0
+    budget, spent = ORBIT_BUDGET, 0
     # window modulus -> its (action, parameter, step) moves; shears by
     # 1, -1, 2, -2, ... at modulus 0
     shears = [ring.el(s * j) for j in range(1, units_per_window + 1)

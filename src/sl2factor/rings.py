@@ -167,10 +167,11 @@ class Ring:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.d is not None:
+            # make_ring appends the spec to these messages
             if self.d < 2:
-                raise ValueError(f"d must be >= 2, got {self.d}")
+                raise ValueError("d must be >= 2")
             if not _is_squarefree(self.d):
-                raise ValueError(f"d must be squarefree, got {self.d}")
+                raise ValueError("d must be squarefree")
 
     @property
     def is_quadratic(self) -> bool:
@@ -178,8 +179,8 @@ class Ring:
 
     @cached_property
     def inverted_primes(self) -> tuple[int, ...]:
-        # cached on the instance: factoring a large m is slow, and unit
-        # sampling asks for the primes once per unit
+        # cached on the instance: factoring a large m is slow, and every
+        # box search asks for the primes again
         return _prime_factors(self.m) if self.m > 1 else ()
 
     @property
@@ -257,19 +258,6 @@ class Ring:
         gens.append(RElem(self, -1))
         return tuple(gens)
 
-    def random_unit(self, rng) -> RElem:
-        """Pseudorandom unit: each generator of infinite order raised to
-        rng.randint(-5, 5), in generator order, then the sign from
-        rng.randint(0, 1)."""
-        u = self.one
-        for g in self.unit_generators():
-            if g == -1:
-                if rng.randint(0, 1):
-                    u = -u
-            else:
-                u = u * g ** rng.randint(-5, 5)
-        return u
-
     def __str__(self) -> str:
         if self.d is None:
             return "Z" if self.m == 1 else f"Z[1/{self.m}]"
@@ -311,11 +299,14 @@ def make_ring(spec: str) -> Ring:
 
 
 def _quad_ring(spec: str, d: int, m: int) -> Ring:
-    if d < 2:
-        raise ParseError(f"d must be >= 2 in {spec!r}")
-    if not _is_squarefree(d):
-        raise ParseError(f"d must be squarefree in {spec!r}")
-    return Ring(d, m)
+    """Ring(d, m), which validates d; a rejected d is a ParseError that
+    names the spec."""
+    try:
+        return Ring(d, m)
+    except ParseError:
+        raise
+    except ValueError as e:
+        raise ParseError(f"{e} in {spec!r}") from None
 
 
 class RElem:
@@ -558,89 +549,6 @@ def _pell_min_unit(d: int) -> tuple[int, int]:
         q, q_prev = a * q + q_prev, q
     raise RuntimeError(f"continued fraction of sqrt({d}) did not close "
                        f"within {PELL_BITS_CAP} bits")
-
-
-def congruent_mod(x: RElem, y, modulus: RElem) -> bool:
-    """True when (x - y)/modulus lies in the ring.  modulus must be nonzero."""
-    if not modulus:
-        raise ZeroDivisionError("zero modulus")
-    return (x - y).div_exact(modulus) is not None
-
-
-def canonical_associate(x: RElem) -> tuple[RElem, RElem]:
-    """Deterministic representative of the principal ideal (x).
-
-    Returns (y, u) with y = u*x and u a unit.  Rational rings get the
-    positive integer generator coprime to the inverted primes; quadratic
-    rings get a denominator-free, content-stripped, height-minimal (under
-    the fundamental unit walk) representative with positive real value.
-    """
-    ring = x.ring
-    if not x:
-        raise ZeroDivisionError("zero has no associate normal form")
-    if not x.is_integral():
-        raise ValueError(f"{x} is not in {ring}; associates are defined "
-                         "for ring elements only")
-    if not ring.is_quadratic:
-        n = _strip_part(x.a, ring.m)
-        y = RElem(ring, n)
-        u = y / x
-        return y, u
-
-    # clear the denominator (a unit, by integrality) and strip the
-    # inverted-prime part of the coefficient content; content and height
-    # are invariant under the unit walk below, so this commutes with it
-    y = RElem(ring, x.a, x.b)
-    content = gcd(y.a, y.b)
-    s = content // _strip_part(content, ring.m)
-    if s > 1:
-        y = RElem(ring, y.a // s, y.b // s)
-    if y < 0:
-        y = -y
-
-    # anchor at the unique positive associate with |N| <= y^2 < |N|*e^2:
-    # this depends only on the ideal (x), so everything after it is a
-    # deterministic function of the ideal, never of the input associate
-    eps = ring.fundamental_unit()
-    eps_inv = eps.inverse()
-    lo = RElem(ring, abs(y.a * y.a - ring.d * y.b * y.b))
-    hi = lo * eps * eps
-    while y * y < lo:
-        y = y * eps
-    while y * y >= hi:
-        y = y * eps_inv
-
-    def height(z: RElem) -> int:
-        return max(abs(z.a), abs(z.b))
-
-    while True:  # walk downhill to the height valley
-        h = height(y)
-        for u0 in (eps, eps_inv):
-            if height(y * u0) < h:
-                y = y * u0
-                break
-        else:
-            break
-    # the valley floor may be a plateau of equal-height associates (a
-    # unit's orbit has several of height 1); gather it whole and pick
-    # one representative by coordinate size, then by exact value
-    plateau = [y]
-    h = height(y)
-    for u0 in (eps, eps_inv):
-        z = y * u0
-        while height(z) == h:
-            plateau.append(z)
-            z = z * u0
-    best = None
-    for c in plateau:
-        if c < 0:
-            c = -c
-        if best is None or (abs(c.a) + abs(c.b), c) < (abs(best.a) + abs(best.b), best):
-            best = c
-    u = best / x
-    if not u.is_unit():
-        raise AssertionError("associate reduction produced a non-unit factor")
-    return best, u
 
 
 class UnitsResult(NamedTuple):

@@ -12,14 +12,14 @@ letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .continuants import vk_membership
 from .matrices import (Mat2, Word, _times_elem, identity, letter_kind,
                        shape_target)
 from .rings import RElem, Ring
 
-ENUM_HALF_CAP = 10**8
+ENUM_HALF_CAP = 10**6
 
 # fixed alternating expansion of -I as a lower-start word:
 # L(1) U(-1) L(2) U(-1) L(1)
@@ -236,28 +236,6 @@ def reverse_point(P: Word, A: Mat2) -> tuple[Mat2, Word]:
     return B, Q
 
 
-# -- unit-product points --------------------------------------------------
-
-
-def unit_product_points(ring: Ring, k: int, units: Sequence[RElem]) -> tuple[RElem, ...]:
-    """Point on the product-one variety x1*...*xk = 1: the k-1 given units
-    followed by the inverse of their product."""
-    if k < 2:
-        raise ValueError("need k >= 2")
-    units = tuple(ring.el(u) for u in units)
-    if len(units) != k - 1:
-        raise ValueError(f"need exactly {k - 1} units, got {len(units)}")
-    prod = ring.one
-    for u in units:
-        if not u.is_unit():
-            raise ValueError(f"{u} is not a unit of {ring}")
-        prod = prod * u
-    last = prod.inverse()
-    if prod * last != 1:
-        raise AssertionError("unit product failed to invert")
-    return units + (last,)
-
-
 # -- bounded exhaustive enumeration ---------------------------------------
 
 
@@ -324,8 +302,8 @@ def _walk(start: tuple, kinds: Sequence[str], letters: Sequence[RElem]):
         prods.pop()
 
 
-def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
-                             half_cap: int = ENUM_HALF_CAP) -> list[Word]:
+def enumerate_points_bounded(A: Mat2, k: int, shape: str,
+                             bound: HeightBound) -> list[Word]:
     """Every solution tuple of length k inside the height box, in
     lexicographic order of the entries.
 
@@ -334,8 +312,9 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
     their entries, the right halves from the target, peeling xk, ...,
     x(j+1) off its end, which leaves target·elem(-xk)·…·elem(-x(j+1)),
     the very left product a match needs.  Raises BudgetError when a half
-    of e letters over a box of n values would take more than half_cap
-    letters, e·n^e; the gate never forms a power larger than the cap.
+    of e letters over a box of n values would take more than
+    ENUM_HALF_CAP letters (the module value at call time), e·n^e; the
+    gate never forms a power larger than the cap.
     """
     if A.det() != 1:
         raise ValueError("enumeration target must have determinant 1")
@@ -349,8 +328,9 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str, bound: HeightBound, *,
     box = coordinate_box(ring, bound)
     j = k // 2
     n, e = len(box), max(j, k - j)
-    # with n >= 2, n^e > half_cap once e exceeds its bit length
-    if (n > 1 and e > half_cap.bit_length()) or e * n**e > half_cap:
+    cap = ENUM_HALF_CAP
+    # with n >= 2, n^e > cap once e exceeds its bit length
+    if (n > 1 and e > cap.bit_length()) or e * n**e > cap:
         raise BudgetError(f"{n}^{e} half-words of {e} letters exceed the cap")
 
     one, zero = ring.one, ring.zero

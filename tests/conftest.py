@@ -120,6 +120,13 @@ def elem_product(ring: Ring, shape: str, xs) -> Mat2:
     return M
 
 
+def congruent_mod(x: RElem, y, modulus: RElem) -> bool:
+    """True when (x - y)/modulus lies in the ring.  modulus must be nonzero."""
+    if not modulus:
+        raise ZeroDivisionError("zero modulus")
+    return (x - y).div_exact(modulus) is not None
+
+
 # -- random data helpers --------------------------------------------------
 
 

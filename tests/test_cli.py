@@ -257,6 +257,18 @@ def test_enum_budget_gate_is_cheap(k, bound):
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
 
+def test_enum_cap_refuses_past_a_million_letters(capsys):
+    # 10^6 + 1 letters per half over the box {0} is one past ENUM_HALF_CAP
+    # and refused before the walk; a search at the cap walks in about 10 s
+    start = time.perf_counter()
+    code, lines, err = run(capsys, "enum", "--ring", "Z", "--matrix", A_2335,
+                           "--k", "2000002", "--bound", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and not lines
+    assert err == ("budget exhausted: 1^1000001 half-words of 1000001 "
+                   "letters exceed the cap\n")
+
+
 def test_enum_long_word_over_one_letter(capsys):
     # 1500 letters per half over the box {0}: walked without recursion
     code, lines, err = run(capsys, "enum", "--ring", "Z", "--matrix", A_2335,

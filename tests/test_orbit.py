@@ -26,6 +26,7 @@ from sl2factor import (
     window_modulus,
     word_to_matrix,
 )
+from sl2factor import orbits
 from sl2factor.matrices import WORD_SHAPES
 
 
@@ -304,9 +305,11 @@ def test_orbit_closes_without_units(Z):
     assert not run.exhausted
 
 
-def test_orbit_budget_exhaustion(Z_half):
+def test_orbit_budget_exhaustion(Z_half, monkeypatch):
+    # the budget is read at call time
+    monkeypatch.setattr(orbits, "ORBIT_BUDGET", 1)
     A = mat(Z_half, 2, 3, 3, 5)
-    run = orbit_run(A, pt(Z_half, 1, 1, 1, 1), 50, budget=1)
+    run = orbit_run(A, pt(Z_half, 1, 1, 1, 1), 50)
     assert run.exhausted
     assert len(run.points) < 50
 

@@ -1,7 +1,6 @@
 """Ring construction, exact element arithmetic, serialization, units."""
 
 import math
-import random
 import time
 from fractions import Fraction
 
@@ -9,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sl2factor import (ParseError, RElem, RingMismatchError,
-                       canonical_associate, congruent_mod, make_ring,
+from sl2factor import (ParseError, RElem, Ring, RingMismatchError, make_ring,
                        units_congruent_one)
 from sl2factor import rings
+from sl2factor.density import random_unit_points
 from sl2factor.rings import (TRIAL_DIVISION_BOUND, _is_prime, _is_squarefree,
                              _order_finder, _pell_min_unit, _prime_factors,
                              _strip_part)
+
+from conftest import congruent_mod
 
 COEF = st.integers(min_value=-10**6, max_value=10**6)
 DENOM = st.integers(min_value=1, max_value=10**4)
@@ -35,6 +36,36 @@ def test_ring_spec_grammar():
 def test_ring_spec_rejects(bad):
     with pytest.raises(ParseError):
         make_ring(bad)
+
+
+def test_make_ring_decides_squarefree_once(monkeypatch):
+    # trial division of a large d dominates parsing its spec, so make_ring
+    # must decide squarefreeness once, accepted or rejected
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return _is_squarefree(n)
+
+    monkeypatch.setattr(rings, "_is_squarefree", counted)
+    for spec, d in [("Z[sqrt(2)]", 2), ("Z[sqrt(7),1/6]", 7),
+                    ("Z[sqrt(999962000357)]", 999962000357)]:
+        calls.clear()
+        assert make_ring(spec).d == d
+        assert calls == [d]
+    calls.clear()
+    with pytest.raises(ParseError,
+                       match=r"^d must be squarefree in 'Z\[sqrt\(12\)\]'$"):
+        make_ring("Z[sqrt(12)]")
+    assert calls == [12]
+    calls.clear()
+    with pytest.raises(ParseError,
+                       match=r"^d must be >= 2 in 'Z\[sqrt\(1\)\]'$"):
+        make_ring("Z[sqrt(1)]")
+    assert make_ring("Z[1/6]").m == 6 and calls == []
+    for d in (1, 4):
+        with pytest.raises(ValueError):
+            Ring(d)
 
 
 def test_ring_properties():
@@ -404,22 +435,22 @@ def test_congruent_mod(Z, Z_half, Zr2):
 
 
 def test_random_unit_stream_pinned():
-    # the sampler behind both the CLI's unit-mode points and the unit
-    # baseline; a change here changes seeded density output
+    # the sampler behind the CLI's unit-mode points; a change here
+    # changes seeded density output
     for spec, want in [
         ("Z[1/2]", ["1", "2", "1/16", "1"]),
         ("Z[sqrt(2),1/6]", ["3/8", "(-136+96*w)/81", "(459+324*w)/32",
                             "(123-87*w)/16"]),
     ]:
-        ring, rng = make_ring(spec), random.Random(7)
-        units = [ring.random_unit(rng) for _ in range(4)]
+        ring = make_ring(spec)
+        units = random_unit_points(ring, 5, 1, 7)[0][:4]
         assert [str(u) for u in units] == want
         assert all(u.is_unit() for u in units)
 
 
 def test_ring_factors_its_modulus_once(monkeypatch):
-    # unit sampling asks for the inverted primes once per unit; a ring
-    # whose m has large prime factors must not trial-divide it each time
+    # unit sampling draws every unit from the generators; a ring whose m
+    # has large prime factors must not trial-divide it for each one
     calls = []
 
     def counted(n):
@@ -427,8 +458,9 @@ def test_ring_factors_its_modulus_once(monkeypatch):
         return _prime_factors(n)
 
     monkeypatch.setattr(rings, "_prime_factors", counted)
-    ring, rng = make_ring("Z[sqrt(2),1/999962000357]"), random.Random(3)
-    units = [ring.random_unit(rng) for _ in range(200)]
+    ring = make_ring("Z[sqrt(2),1/999962000357]")
+    points = random_unit_points(ring, 5, 50, 3)
+    assert sum(len(P) - 1 for P in points) == 200
     assert calls == [999962000357]
     assert ring.inverted_primes == (999979, 999983)
     assert ring.unit_generators() is ring.unit_generators()
@@ -538,52 +570,6 @@ def test_units_congruent_one_rejects_modulus_outside_ring(Z_half, Zr2):
         units_congruent_one(Z_half, Z_half.el(1, 0, 3), 2)
     with pytest.raises(ValueError):
         units_congruent_one(Zr2, Zr2.el(1, 1, 2), 2)
-
-
-def test_canonical_associate_examples(Z, Z_half, Z_sixth):
-    assert canonical_associate(Z.el(-5)) == (Z.el(5), Z.el(-1))
-    tilde, u = canonical_associate(Z_half.el(14))
-    assert (tilde, u) == (Z_half.el(7), Z_half.el(1, 0, 2))
-    tilde, u = canonical_associate(Z_sixth.el(3, 0, 2))
-    assert tilde == 1 and u == Z_sixth.el(2, 0, 3)
-
-
-def test_canonical_associate_contract(rng, Zr2_half):
-    for _ in range(150):
-        x = RElem(Zr2_half, rng.randint(-30, 30), rng.randint(-30, 30),
-                  rng.choice([1, 2, 4]))
-        if not x:
-            continue
-        tilde, u = canonical_associate(x)
-        assert u.is_unit()
-        assert tilde == u * x
-        again, u2 = canonical_associate(tilde)
-        assert again == tilde and u2 == 1
-
-
-def test_canonical_associate_zero_rejected(Z):
-    with pytest.raises(ZeroDivisionError):
-        canonical_associate(Z.el(0))
-
-
-@settings(max_examples=40)
-@given(a=st.integers(-400, 400), b=st.integers(-400, 400),
-       e=st.integers(-3, 3), s=st.sampled_from([1, -1]))
-def test_canonical_associate_collapses_associates(a, b, e, s):
-    ring = make_ring("Z[sqrt(2)]")
-    x = RElem(ring, a, b)
-    if not x:
-        return
-    eps = ring.fundamental_unit()
-    y = x * eps**e * s
-    assert canonical_associate(x)[0] == canonical_associate(y)[0]
-
-
-def test_canonical_associate_requires_integrality(Zr2, Z):
-    with pytest.raises(ValueError):
-        canonical_associate(RElem(Zr2, 0, 1, 2))
-    with pytest.raises(ValueError):
-        canonical_associate(RElem(Z, 1, 0, 2))
 
 
 def test_pell_cache_is_bounded():

@@ -28,12 +28,13 @@ from sl2factor import (
     pad,
     reverse_point,
     solve_k3,
-    unit_product_points,
     vk_membership,
     word_from_json,
     word_to_json,
     word_to_matrix,
 )
+from sl2factor import varieties
+from sl2factor.density import random_unit_points
 from sl2factor.varieties import _walk
 
 from conftest import elem_product, rand_int_word, rand_matrix
@@ -321,31 +322,30 @@ def test_transport_closure(rng, Z, Zr2):
 
 
 def test_unit_product_examples(Z_half):
-    pt = unit_product_points(Z_half, 2, (Z_half.el(2),))
-    assert pt == (Z_half.el(2), Z_half.el(1, 0, 2))
-    pt = unit_product_points(Z_half, 3, els(Z_half, 2, 4))
-    assert pt[2] == Z_half.el(1, 0, 8)
-    pt = unit_product_points(Z_half, 2, (Z_half.el(-1),))
-    assert pt == els(Z_half, -1, -1)
+    # the stream of test_random_unit_stream_pinned: units 1, 2, 1/16, 1,
+    # each followed by the inverse of the product
+    pts = random_unit_points(Z_half, 2, 4, 7)
+    assert pts[1] == (Z_half.el(2), Z_half.el(1, 0, 2))
+    assert pts[2] == (Z_half.el(1, 0, 16), Z_half.el(16))
+    pt = random_unit_points(Z_half, 3, 2, 7)[0]
+    assert pt == (Z_half.el(1), Z_half.el(2), Z_half.el(1, 0, 2))
+    for P in random_unit_points(Z_half, 4, 30, 0):
+        assert P[3] == (P[0] * P[1] * P[2]).inverse()
 
 
 def test_unit_product_quadratic(Zr2):
-    eps = Zr2.el(1, 1)
-    pt = unit_product_points(Zr2, 3, (eps, eps))
-    prod = Zr2.one
-    for u in pt:
-        prod = prod * u
-    assert prod == 1
-    assert all(u.is_unit() for u in pt)
+    for pt in random_unit_points(Zr2, 3, 20, 0):
+        prod = Zr2.one
+        for u in pt:
+            prod = prod * u
+        assert prod == 1
+        assert all(u.is_unit() for u in pt)
 
 
-def test_unit_product_rejects(Z, Z_half):
-    with pytest.raises(ValueError):
-        unit_product_points(Z, 2, (Z.el(2),))  # 2 not a unit of Z
-    with pytest.raises(ValueError):
-        unit_product_points(Z_half, 1, ())
-    with pytest.raises(ValueError):
-        unit_product_points(Z_half, 3, (Z_half.el(2),))  # wrong count
+def test_unit_product_rejects(Z_half):
+    for k in (1, 0):
+        with pytest.raises(ValueError):
+            random_unit_points(Z_half, k, 5, 0)
 
 
 # -- bounded enumeration ----------------------------------------------------
@@ -479,10 +479,16 @@ def test_enumerate_quadratic(rng, Zr2):
     assert [P.entries for P in got] == naive_solutions(A, 2, "lower", bound)
 
 
-def test_enumerate_budget(Z):
+def test_enumerate_budget(Z, monkeypatch):
+    # the cap is read at call time
+    monkeypatch.setattr(varieties, "ENUM_HALF_CAP", 10)
     with pytest.raises(BudgetError):
-        enumerate_points_bounded(identity(Z), 4, "lower", HeightBound(3),
-                                 half_cap=10)
+        enumerate_points_bounded(identity(Z), 4, "lower", HeightBound(3))
+    # over the box {0} a half of e letters costs e: 10 letters pass, 11 do not
+    got = enumerate_points_bounded(identity(Z), 20, "lower", HeightBound(0))
+    assert [P.entries for P in got] == [(Z.zero,) * 20]
+    with pytest.raises(BudgetError):
+        enumerate_points_bounded(identity(Z), 22, "lower", HeightBound(0))
 
 
 def test_error_hierarchy():
