@@ -3,9 +3,10 @@
 Subcommands: factor, verify, orbit, enum, density, units.  Output is
 JSON lines with a fixed key order, so identical inputs and seeds give
 byte-identical output.  Every point printed anywhere is re-verified
-against the factorization equations immediately before printing.  Each
-subcommand accepts only the flags it reads (`_COMMANDS`); any other flag
-exits 1, and `sl2factor <subcommand> --help` lists them.
+against the factorization equations immediately before printing, by
+the output gate of `varieties`.  Each subcommand accepts only the flags
+it reads (`_COMMANDS`); any other flag exits 1, and
+`sl2factor <subcommand> --help` lists them.
 
 Exit codes: 0 success, 1 invalid input, 2 empty result within the given
 bounds, 3 search budget exhausted, 4 internal error.  Codes 2 and 3 are
@@ -26,15 +27,15 @@ import json
 import sys
 from math import comb
 
-from .continuants import membership_residuals, vk_membership
+from .continuants import membership_residuals
 from .density import (density_report, generic_variety_baseline,
                       random_unit_points)
 from .matrices import (WORD_SHAPES, Mat2, Word, matrix_from_json,
                        shape_target, word_from_json, word_to_json)
 from .orbits import orbit_run
 from .rings import ParseError, make_ring, units_congruent_one
-from .varieties import (BudgetError, HeightBound, enumerate_points_bounded,
-                        factor_euclid, pad)
+from .varieties import (BudgetError, HeightBound, _verified,
+                        enumerate_points_bounded, factor_euclid, pad)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -78,14 +79,6 @@ def _euclid_word(A: Mat2, shape: str) -> Word:
     return Word(shape, factor_euclid(shape_target(A, shape)).entries)
 
 
-def _verified_point_json(A: Mat2, P: Word) -> dict:
-    # fail closed: nothing is printed that does not satisfy the
-    # equations at print time
-    if not vk_membership(A, P.entries, P.shape):
-        raise AssertionError(f"refusing to print non-member point {P}")
-    return word_to_json(P)
-
-
 def cmd_factor(args, out) -> int:
     ring = make_ring(args.ring)
     A = _matrix(ring, args)
@@ -102,7 +95,7 @@ def cmd_factor(args, out) -> int:
         word = points[0]
     else:
         word = _euclid_word(A, args.shape)
-    payload = _verified_point_json(A, word)
+    payload = word_to_json(_verified(A, word))
     _emit(out, {"shape": payload["shape"], "k": word.k,
                 "entries": payload["entries"]})
     return EXIT_OK
@@ -125,7 +118,7 @@ def cmd_orbit(args, out) -> int:
     seed = _point(ring, args)
     run = orbit_run(A, seed, args.count)
     for rec in run.records:
-        line = _verified_point_json(A, rec.point)
+        line = word_to_json(_verified(A, rec.point))
         line["window"] = rec.window
         line["action"] = rec.action
         line["parameter"] = None if rec.parameter is None else str(rec.parameter)
@@ -146,7 +139,7 @@ def cmd_enum(args, out) -> int:
     points = enumerate_points_bounded(A, args.k, args.shape,
                                       _parse_bound(args.bound))
     for P in points:
-        _emit(out, _verified_point_json(A, P))
+        _emit(out, word_to_json(_verified(A, P)))
     return EXIT_OK if points else EXIT_EMPTY
 
 
@@ -157,13 +150,18 @@ def cmd_density(args, out) -> int:
         raise ParseError(f"--degree must be at least 1, got {degree}")
     if args.count < 1:
         raise ParseError(f"--count must be at least 1, got {args.count}")
-    # every flag is checked before any orbit or baseline work
+    # in each mode every flag is checked before any orbit or baseline work
     if args.matrix is None:
         for flag in ("point", "shape"):
             if getattr(args, flag) is not None:
                 raise ParseError(f"--{flag} needs --matrix")
         if k < 2:
             raise ParseError(f"--k must be at least 2 without --matrix, got {k}")
+        points = random_unit_points(ring, k, args.count, args.seed)
+        # x1*...*xk - 1 is irreducible and generates the ideal of the
+        # unit-product variety, so its degree <= D part is that
+        # polynomial times every monomial of degree <= D - k
+        baseline = comb(degree, k)
     else:
         A = _matrix(ring, args)
         shape = args.shape or "lower"
@@ -173,13 +171,6 @@ def cmd_density(args, out) -> int:
             raise ParseError(f"seed has length {seed_point.k} > --k {k}")
         if k < 3:
             raise ParseError(f"--k must be at least 3 with --matrix, got {k}")
-    if args.matrix is None:
-        points = random_unit_points(ring, k, args.count, args.seed)
-        # x1*...*xk - 1 is irreducible and generates the ideal of the
-        # unit-product variety, so its degree <= D part is that
-        # polynomial times every monomial of degree <= D - k
-        baseline = comb(degree, k)
-    else:
         seed_point = pad(seed_point, A, k)
         points = orbit_run(A, seed_point, args.count).points
         # upper and D points of A are lower points of A.prime(), and the

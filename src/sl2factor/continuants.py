@@ -111,28 +111,29 @@ def word_matrix_by_continuants(ring: Ring, xs: Sequence[RElem]) -> Mat2:
     return Mat2(*_elements(ring, *_cleared_matrix(ring, xs)))
 
 
-def membership_residuals(A: Mat2, xs: Sequence[RElem],
-                         shape: str = "lower") -> tuple[RElem, ...]:
-    """Entrywise differences (a, c, b, d order) between the continuant
-    matrix of xs and its target, A for lower-start tuples and A.prime()
-    for upper-start and D-type ones."""
+def _against_target(A: Mat2, xs: Sequence[RElem], shape: str):
+    """Entries, a c b d order, of the target of the shape's equations for
+    A (A.prime() for upper-start and D-type tuples), then the common
+    denominator and the cleared word matrix of xs."""
     if not _is_unimodular(A):
         raise ValueError("membership target must have determinant 1")
     T = shape_target(A, shape)
-    target = (T.a, T.c, T.b, T.d)
-    M = _elements(A.ring, *_cleared_matrix(A.ring, xs))
-    return tuple(m - t for m, t in zip(M, target))
+    return (T.a, T.c, T.b, T.d), *_cleared_matrix(A.ring, xs)
+
+
+def membership_residuals(A: Mat2, xs: Sequence[RElem],
+                         shape: str = "lower") -> tuple[RElem, ...]:
+    """Entrywise differences (a, c, b, d order) between the continuant
+    matrix of xs and its target."""
+    target, R, M = _against_target(A, xs, shape)
+    return tuple(m - t for m, t in zip(_elements(A.ring, R, M), target))
 
 
 def vk_membership(A: Mat2, xs: Sequence[RElem], shape: str = "lower") -> bool:
     """Exact test that xs solves the word-factorization equations for A,
     in integers: each cleared entry (p + q*w)/R^e against its target
     entry (t.a + t.b*w)/t.r."""
-    if not _is_unimodular(A):
-        raise ValueError("membership target must have determinant 1")
-    T = shape_target(A, shape)
-    target = (T.a, T.c, T.b, T.d)
-    R, M = _cleared_matrix(A.ring, xs)
+    target, R, M = _against_target(A, xs, shape)
     for (p, q, e), t in zip(M, target):
         s = R**e
         if p * t.r != t.a * s or q * t.r != t.b * s:

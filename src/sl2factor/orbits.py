@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .continuants import vk_membership
 from .matrices import Mat2, Word
 from .rings import RElem, units_congruent_one
-from .varieties import MembershipError, _require_member
+from .varieties import MembershipError, _require_member, _verified
 
 ORBIT_BUDGET = 10**5
 Step = tuple[RElem, RElem, RElem, RElem]  # (v, 1/v, c1, c4)
@@ -102,12 +101,8 @@ def a1_families(A: Mat2, u) -> tuple[Word, Word]:
         raise ValueError("a1_families needs the upper-left entry to be 1")
     u = ring.el(u)
     zero = ring.zero
-    first = Word("lower", (u, zero, A.b - u, A.c))
-    second = Word("lower", (A.b, A.c - u, zero, u))
-    for P in (first, second):
-        if not vk_membership(A, P.entries, "lower"):
-            raise AssertionError(f"family point {P} failed verification")
-    return first, second
+    return (_verified(A, Word("lower", (u, zero, A.b - u, A.c))),
+            _verified(A, Word("lower", (A.b, A.c - u, zero, u))))
 
 
 @dataclass(frozen=True)
@@ -184,9 +179,7 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
             return False
         if not child.integral:
             raise AssertionError(f"orbit produced a non-integral point {child}")
-        if not vk_membership(A, child.entries, child.shape):
-            raise AssertionError(f"orbit produced a non-member {child}")
-        seen.add(child)
+        seen.add(_verified(A, child))
         heappush(heap, (_height(child), len(records), child))
         records.append(OrbitRecord(child, window, action, parameter))
         return len(records) >= n

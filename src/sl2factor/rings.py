@@ -270,40 +270,26 @@ _INT_RE = re.compile(r"[+-]?\d+")
 _FRAC_RE = re.compile(r"([+-]?\d+)/(\d+)")
 _QUAD_RE = re.compile(r"\(([+-]?\d+)([+-]\d+)\*w\)(?:/(\d+))?")
 
-_RING_INV_RE = re.compile(r"Z\[1/(\d+)\]")
-_RING_QUAD_RE = re.compile(r"Z\[sqrt\((\d+)\)\]")
-_RING_QUAD_INV_RE = re.compile(r"Z\[sqrt\((\d+)\),1/(\d+)\]")
+# groups: d, then m after sqrt(d) or m alone
+_RING_SPEC_RE = re.compile(
+    r"Z(?:\[(?:sqrt\((\d+)\)(?:,1/(\d+))?|1/(\d+))\])?")
 
 
 def make_ring(spec: str) -> Ring:
-    """Parse a ring spec: "Z", "Z[1/m]", "Z[sqrt(d)]", or "Z[sqrt(d),1/m]"."""
-    s = spec.strip()
-    if s == "Z":
-        return Ring()
-    m = _RING_INV_RE.fullmatch(s)
-    if m:
-        mm = int(m.group(1))
-        if mm < 2:
-            raise ParseError(f"inverted modulus must be >= 2 in {spec!r}")
-        return Ring(None, mm)
-    m = _RING_QUAD_RE.fullmatch(s)
-    if m:
-        return _quad_ring(spec, int(m.group(1)), 1)
-    m = _RING_QUAD_INV_RE.fullmatch(s)
-    if m:
-        mm = int(m.group(2))
-        if mm < 2:
-            raise ParseError(f"inverted modulus must be >= 2 in {spec!r}")
-        return _quad_ring(spec, int(m.group(1)), mm)
-    raise ParseError(f"unrecognized ring spec {spec!r}")
+    """Parse a ring spec: "Z", "Z[1/m]", "Z[sqrt(d)]", or "Z[sqrt(d),1/m]".
 
-
-def _quad_ring(spec: str, d: int, m: int) -> Ring:
-    """Ring(d, m), which validates d; a rejected d is a ParseError that
-    names the spec."""
+    Ring validates d; a rejected d is a ParseError that names the spec.
+    """
+    match = _RING_SPEC_RE.fullmatch(spec.strip())
+    if not match:
+        raise ParseError(f"unrecognized ring spec {spec!r}")
+    d, m_quad, m_rat = match.groups()
+    m = m_quad or m_rat
+    if m is not None and int(m) < 2:
+        raise ParseError(f"inverted modulus must be >= 2 in {spec!r}")
     try:
-        return Ring(d, m)
-    except ParseError:
+        return Ring(None if d is None else int(d), 1 if m is None else int(m))
+    except ParseError:  # an undecidable d keeps its own message
         raise
     except ValueError as e:
         raise ParseError(f"{e} in {spec!r}") from None
@@ -592,13 +578,9 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
             orders[g] = o
 
     units: list[RElem] = []
-    if not ring.has_infinite_units:
-        # only the torsion unit -1 can qualify, and only when it is 1 mod a
-        if orders.get(minus_one) == 1 and count > 0:
-            units.append(minus_one)
-        return UnitsResult(tuple(units[:count]), True, tuple(stalled))
-
     seen: set[RElem] = set()
+    # -1 is the only torsion generator; without another (over Z) one
+    # pass is exhaustive and yields -1 exactly when its order is 1
     can_grow = any(g != minus_one for g in orders)
     j = 1
     while len(units) < count:
@@ -612,7 +594,8 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
         if not can_grow:
             break
         j += 1
-    return UnitsResult(tuple(units), False, tuple(stalled))
+    return UnitsResult(tuple(units), not ring.has_infinite_units,
+                       tuple(stalled))
 
 
 def _order_finder(ring: Ring, modulus: RElem):

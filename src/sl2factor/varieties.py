@@ -2,11 +2,15 @@
 equations.
 
 A point is a `Word`: a tuple (x1, ..., xk) whose word of the recorded
-shape multiplies out to a fixed matrix A.  Everything here re-checks
-membership through the continuant route before returning, so a
-constructed point is always a verified one.  The box search and the
-fiber peel multiply words out through one letter step, not a `Mat2` per
-letter.
+shape multiplies out to a fixed matrix A.  Points are checked against
+the continuant equations through two gates, the package's only callers
+of `vk_membership` outside `continuants`.  `_require_member` checks a
+point handed in by the caller and raises `MembershipError` (invalid
+input).  `_verified` checks every point the package makes, here and in
+`orbits` and the CLI, and raises `AssertionError` (a fault of the
+program), so a constructed point is always a verified one.  The box
+search and the fiber peel multiply words out through one letter step,
+not a `Mat2` per letter.
 """
 
 from __future__ import annotations
@@ -37,6 +41,21 @@ class BudgetError(RuntimeError):
 # the benchmark harness (bench/workloads.py) still builds its orbit seeds
 # through this name; everything else uses Word
 PointTuple = Word
+
+
+def _require_member(A: Mat2, P: Word) -> Word:
+    """Input gate: P, once it solves the equations of its shape for A."""
+    if not vk_membership(A, P.entries, P.shape):
+        raise MembershipError(f"{P} does not solve the {P.shape} equations for {A}")
+    return P
+
+
+def _verified(A: Mat2, P: Word) -> Word:
+    """Output gate: P, once it solves the equations of its shape for A; a
+    point the program made that fails them is a fault, never a result."""
+    if not vk_membership(A, P.entries, P.shape):
+        raise AssertionError(f"refusing non-member point {P} for {A}")
+    return P
 
 
 # -- Euclidean factorization over the integers --------------------------
@@ -112,10 +131,7 @@ def factor_euclid(A: Mat2) -> Word:
         tail = [(d - 1) // c, c, b]
         letters.extend(tail if expect_lower else [0] + tail)
 
-    word = Word("lower", tuple(ring.el(x) for x in letters))
-    if not vk_membership(A, word.entries, "lower"):
-        raise AssertionError(f"factorization of {A} failed verification")
-    return word
+    return _verified(A, Word("lower", tuple(ring.el(x) for x in letters)))
 
 
 # -- length-3 closed form ------------------------------------------------
@@ -146,10 +162,8 @@ def solve_k3(A: Mat2) -> K3Solution:
         raise ValueError("solve_k3 needs determinant 1")
     ring = A.ring
     if A.c:
-        point = Word("lower", ((A.d - 1) / A.c, A.c, (A.a - 1) / A.c))
-        if not vk_membership(A, point.entries, "lower"):
-            raise AssertionError("closed-form solution failed verification")
-        return K3Solution("unique", point)
+        return K3Solution("unique", _verified(A, Word(
+            "lower", ((A.d - 1) / A.c, A.c, (A.a - 1) / A.c))))
     if A.a != 1:
         return K3Solution("empty")
     return K3Solution("family", None, A.b)
@@ -180,18 +194,10 @@ def fiber_lift(A: Mat2, tail: Sequence[RElem]) -> Word | None:
     else:
         entries = sol.family_point(ring.zero).entries + tail
         note = "non-generic fiber"
-    P = Word("lower", entries, note)
-    if not vk_membership(A, P.entries, "lower"):
-        raise AssertionError("lifted point failed verification")
-    return P
+    return _verified(A, Word("lower", entries, note))
 
 
 # -- transports ----------------------------------------------------------
-
-
-def _require_member(A: Mat2, P: Word):
-    if not vk_membership(A, P.entries, P.shape):
-        raise MembershipError(f"{P} does not solve the {P.shape} equations for {A}")
 
 
 def pad(P: Word, A: Mat2, k_new: int) -> Word:
@@ -201,9 +207,7 @@ def pad(P: Word, A: Mat2, k_new: int) -> Word:
         raise ValueError(f"cannot pad length {P.k} down to {k_new}")
     _require_member(A, P)
     zero = A.ring.zero
-    Q = Word(P.shape, P.entries + (zero,) * (k_new - P.k))
-    _require_member(A, Q)
-    return Q
+    return _verified(A, Word(P.shape, P.entries + (zero,) * (k_new - P.k)))
 
 
 def convert_shape(P: Word, A: Mat2) -> tuple[Mat2, Word]:
@@ -216,9 +220,7 @@ def convert_shape(P: Word, A: Mat2) -> tuple[Mat2, Word]:
         raise ValueError("convert_shape starts from a lower-start point")
     _require_member(A, P)
     B = A.prime()
-    Q = Word("upper", P.entries)
-    _require_member(B, Q)
-    return B, Q
+    return B, _verified(B, Word("upper", P.entries))
 
 
 def reverse_point(P: Word, A: Mat2) -> tuple[Mat2, Word]:
@@ -231,9 +233,7 @@ def reverse_point(P: Word, A: Mat2) -> tuple[Mat2, Word]:
         raise ValueError("reverse_point starts from a lower-start point")
     _require_member(A, P)
     B = A.star() if P.k % 2 == 1 else A.transpose()
-    Q = Word("lower", P.entries[::-1])
-    _require_member(B, Q)
-    return B, Q
+    return B, _verified(B, Word("lower", P.entries[::-1]))
 
 
 # -- bounded exhaustive enumeration ---------------------------------------
@@ -259,17 +259,9 @@ def coordinate_box(ring: Ring, bound: HeightBound) -> list[RElem]:
     for p in ring.inverted_primes:
         denoms = [q * p**e for q in denoms for e in range(bound.denom_exp + 1)]
     span = range(-bound.max_abs, bound.max_abs + 1)
-    vals = set()
-    if ring.is_quadratic:
-        for num in span:
-            for w in span:
-                for r in denoms:
-                    vals.add(RElem(ring, num, w, r))
-    else:
-        for num in span:
-            for r in denoms:
-                vals.add(RElem(ring, num, 0, r))
-    return sorted(vals)
+    return sorted({RElem(ring, num, w, r) for num in span
+                   for w in (span if ring.is_quadratic else (0,))
+                   for r in denoms})
 
 
 def _fields(m: tuple) -> tuple[int, ...]:
@@ -314,7 +306,9 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str,
     the very left product a match needs.  Raises BudgetError when a half
     of e letters over a box of n values would take more than
     ENUM_HALF_CAP letters (the module value at call time), e·n^e; the
-    gate never forms a power larger than the cap.
+    gate never forms a power larger than the cap.  Every match passes
+    the output gate, so a refused recheck is an AssertionError, never a
+    dropped point.
     """
     if A.det() != 1:
         raise ValueError("enumeration target must have determinant 1")
@@ -343,8 +337,7 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str,
     for right, need in _walk((target.a, target.c, target.b, target.d), kinds,
                              [-x for x in box]):
         for left in table.get(_fields(need), ()):
-            xs = tuple(box[i] for i in left + right[::-1])
-            if vk_membership(target, xs, "lower"):  # fail-closed recheck
-                out.append(xs)
-    out.sort()
-    return [Word(shape, xs) for xs in out]
+            out.append(_verified(A, Word(
+                shape, tuple(box[i] for i in left + right[::-1]))))
+    out.sort(key=lambda P: P.entries)
+    return out

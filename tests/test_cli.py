@@ -174,18 +174,47 @@ def test_orbit_rejects_non_member_seed(capsys):
     assert code == 1 and not lines and "does not solve" in err
 
 
+def refuse_members(monkeypatch, accept=lambda xs: False):
+    # the membership test behind both gates of varieties
+    monkeypatch.setattr("sl2factor.varieties.vk_membership",
+                        lambda A, xs, shape="lower": accept(tuple(xs)))
+
+
 @pytest.mark.parametrize("module", ["orbits", "cli"])
 def test_orbit_refused_point_is_internal_error(capsys, monkeypatch, module):
     # a fail-closed refusal at emission (orbits) or at print time (cli)
     # exits 4 with one error line, never a traceback or a printed point
-    monkeypatch.setattr(f"sl2factor.{module}.vk_membership",
-                        lambda *args: False)
+    ring = make_ring("Z[1/2]")
+    seed = tuple(ring.el(1) for _ in range(4))
+    if module == "orbits":  # the seed passes the input gate, children fail
+        refuse_members(monkeypatch, lambda xs: xs == seed)
+    else:
+        orbit_run = cli.orbit_run
+
+        def run_then_refuse(*args):
+            run = orbit_run(*args)
+            assert len(run.records) == 5
+            refuse_members(monkeypatch)
+            return run
+
+        monkeypatch.setattr(cli, "orbit_run", run_then_refuse)
     code = main(["orbit", "--ring", "Z[1/2]", "--matrix", A_2335,
                  "--point", '["1","1","1","1"]', "-n", "5"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_INTERNAL == 4 and captured.out == ""
     assert captured.err.startswith("internal error:")
     assert "non-member" in captured.err and "Traceback" not in captured.err
+
+
+def test_enum_refused_match_is_internal_error(capsys, monkeypatch):
+    # a box-search match that fails its recheck is a fault, not an empty box
+    refuse_members(monkeypatch)
+    code = main(["enum", "--ring", "Z", "--matrix", IDENTITY,
+                 "--k", "3", "--bound", "2"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert "non-member" in captured.err and captured.err.count("\n") == 1
 
 
 def test_unclosed_unit_search_is_internal_error(capsys, monkeypatch):

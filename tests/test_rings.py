@@ -29,13 +29,28 @@ def test_ring_spec_grammar():
     assert str(make_ring("Z[sqrt(7),1/3]")) == "Z[sqrt(7),1/3]"
 
 
-@pytest.mark.parametrize("bad", [
-    "", "Q", "Z[1/1]", "Z[1/0]", "Z[sqrt(1)]", "Z[sqrt(4)]", "Z[sqrt(12)]",
-    "Z[sqrt(-2)]", "Z[sqrt(2),1/1]", "Z[2]", "Z[sqrt(2)", "z",
-])
+# every rejected spec and its whole message
+REJECTED_SPECS = {
+    "": "unrecognized ring spec ''",
+    "Q": "unrecognized ring spec 'Q'",
+    "Z[1/1]": "inverted modulus must be >= 2 in 'Z[1/1]'",
+    "Z[1/0]": "inverted modulus must be >= 2 in 'Z[1/0]'",
+    "Z[sqrt(1)]": "d must be >= 2 in 'Z[sqrt(1)]'",
+    "Z[sqrt(4)]": "d must be squarefree in 'Z[sqrt(4)]'",
+    "Z[sqrt(12)]": "d must be squarefree in 'Z[sqrt(12)]'",
+    "Z[sqrt(-2)]": "unrecognized ring spec 'Z[sqrt(-2)]'",
+    "Z[sqrt(2),1/1]": "inverted modulus must be >= 2 in 'Z[sqrt(2),1/1]'",
+    "Z[2]": "unrecognized ring spec 'Z[2]'",
+    "Z[sqrt(2)": "unrecognized ring spec 'Z[sqrt(2)'",
+    "z": "unrecognized ring spec 'z'",
+}
+
+
+@pytest.mark.parametrize("bad", list(REJECTED_SPECS))
 def test_ring_spec_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         make_ring(bad)
+    assert str(info.value) == REJECTED_SPECS[bad]
 
 
 def test_make_ring_decides_squarefree_once(monkeypatch):

@@ -263,6 +263,25 @@ def test_pad_rejects_non_members(Z):
         pad(Word("lower", els(Z, 1, 1, 1)), A, 5)
 
 
+@pytest.mark.parametrize("transport", [lambda P, A: pad(P, A, 6),
+                                       convert_shape, reverse_point],
+                         ids=["pad", "convert_shape", "reverse_point"])
+def test_transport_refused_output_is_internal(Z, monkeypatch, transport):
+    # the caller's point passes the input gate; a refused result is a
+    # fault of the program (AssertionError), not invalid input
+    calls = []
+
+    def first_only(A, xs, shape):
+        calls.append(shape)
+        return len(calls) == 1
+
+    monkeypatch.setattr(varieties, "vk_membership", first_only)
+    A, P = mat(Z, 2, 3, 3, 5), Word("lower", els(Z, 1, 1, 1, 1))
+    with pytest.raises(AssertionError, match="non-member") as info:
+        transport(P, A)
+    assert not isinstance(info.value, MembershipError) and len(calls) == 2
+
+
 def test_convert_shape_example(Z):
     A = mat(Z, 2, 3, 3, 5)
     P = Word("lower", els(Z, 1, 1, 1, 1))
