@@ -13,11 +13,12 @@ bounds, 3 search budget exhausted, 4 internal error.  Codes 2 and 3 are
 deliberately distinct: "no point exists in this box" and "the search
 gave up" are different findings.  Code 4 reports a fault of the
 program, not of the input: a fail-closed check refused a result (a
-point that fails the equations is never printed), or a bounded
-computation such as the Pell unit search did not finish.  The console
-script ends like any Unix filter when its reader goes away (`| head`):
-it restores the default SIGPIPE action, so a closed stdout stops it
-quietly, with no traceback.
+point that fails the equations is never printed), a bounded
+computation such as the Pell unit search did not finish, or a
+TypeError or KeyError escaped (parsing makes every malformed input a
+ValueError first).  The console script ends like any Unix filter when
+its reader goes away (`| head`): it restores the default SIGPIPE
+action, so a closed stdout stops it quietly, with no traceback.
 """
 
 from __future__ import annotations
@@ -281,10 +282,10 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, ZeroDivisionError, KeyError, TypeError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (AssertionError, RuntimeError) as e:
+    except (AssertionError, RuntimeError, TypeError, KeyError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

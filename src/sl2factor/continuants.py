@@ -21,11 +21,10 @@ them into ring elements once, at the end.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Sequence
 
 from .matrices import Mat2, shape_target
-from .rings import RElem, Ring, RingMismatchError
+from .rings import RElem, Ring, _numerators
 
 # a cleared value: integer pair (p, q) and exponent e, standing for
 # (p + q*w)/R^e
@@ -43,22 +42,6 @@ def _cleared_pair(d: int, r2: int, ns, n: int
         pa, pb, qa, qb = (qa, qb, a * qa + d * b * qb + r2 * pa,
                           a * qb + b * qa + r2 * pb)
     return (qa, qb, n), (pa, pb, max(n - 1, 0))
-
-
-def _numerators(ring: Ring, xs: Sequence[RElem]
-                ) -> tuple[int, list[tuple[int, int]]]:
-    """Common denominator R = lcm of the denominators of xs, and the
-    numerator pairs (a_j, b_j) with x_j = (a_j + b_j*w)/R."""
-    xs = tuple(xs)  # read twice below; a tuple is not copied
-    R = 1
-    for x in xs:
-        if x.ring is not ring and x.ring != ring:
-            raise RingMismatchError(f"mixed rings: {ring} and {x.ring}")
-        if x.r != 1:
-            R = lcm(R, x.r)
-    if R == 1:
-        return 1, [(x.a, x.b) for x in xs]
-    return R, [(x.a * (R // x.r), x.b * (R // x.r)) for x in xs]
 
 
 def _cleared_matrix(ring: Ring, xs: Sequence[RElem]
@@ -80,17 +63,6 @@ def _cleared_matrix(ring: Ring, xs: Sequence[RElem]
     if k % 2 == 1:
         return R, (tail, inner, full, head)
     return R, (inner, tail, head, full)
-
-
-def _is_unimodular(A: Mat2) -> bool:
-    """det A == 1, evaluated on the fields of A's entries."""
-    a, c, b, d = A.a, A.c, A.b, A.d
-    w = A.ring.d or 0
-    adr, cbr = a.r * d.r, c.r * b.r
-    # a*d and c*b as (p + q*w)/r; a*d - c*b = 1 over adr*cbr
-    adp, adq = a.a * d.a + w * a.b * d.b, a.a * d.b + a.b * d.a
-    cbp, cbq = c.a * b.a + w * c.b * b.b, c.a * b.b + c.b * b.a
-    return adp * cbr - cbp * adr == adr * cbr and adq * cbr == cbq * adr
 
 
 def _elements(ring: Ring, R: int, cleared: Sequence[_Cleared]
@@ -115,7 +87,7 @@ def _against_target(A: Mat2, xs: Sequence[RElem], shape: str):
     """Entries, a c b d order, of the target of the shape's equations for
     A (A.prime() for upper-start and D-type tuples), then the common
     denominator and the cleared word matrix of xs."""
-    if not _is_unimodular(A):
+    if A.det() != 1:
         raise ValueError("membership target must have determinant 1")
     T = shape_target(A, shape)
     return (T.a, T.c, T.b, T.d), *_cleared_matrix(A.ring, xs)

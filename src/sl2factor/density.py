@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 from typing import NamedTuple, Sequence
 
 from .matrices import Word
-from .rings import RElem, Ring, _is_prime
+from .rings import RElem, Ring, _is_prime, _numerators
 from .varieties import fiber_lift
 
 BASELINE_TAIL_SPAN = 40
@@ -262,21 +262,16 @@ def _lift_rows(ring: Ring, R, R_conj, p: int, s: int):
     return out
 
 
-def _integral_pairs(row: Sequence[RElem]) -> list[tuple[int, int]]:
-    """Coefficient pairs (a, b) of the row rescaled by the lcm of its
-    denominators; rescaling changes neither the row space nor what the
-    row annihilates."""
-    scale = lcm(*(x.r for x in row))
-    return [(x.a * (scale // x.r), x.b * (scale // x.r)) for x in row]
-
-
-def _annihilates(basis, rows, d: int) -> bool:
+def _annihilates(ring: Ring, basis, rows) -> bool:
     """True when every vector of `basis` is orthogonal to every row,
-    checked in exact integer arithmetic."""
-    vecs = [[(j, a, b) for j, (a, b) in enumerate(_integral_pairs(vec)) if a or b]
-            for vec in basis]
+    checked in exact integer arithmetic on the numerators over each
+    row's and vector's common denominator; clearing it changes neither
+    the row space nor what a row annihilates."""
+    d = ring.d or 0
+    vecs = [[(j, a, b) for j, (a, b) in enumerate(_numerators(ring, vec)[1])
+             if a or b] for vec in basis]
     for row in rows:
-        ints = _integral_pairs(row)
+        ints = _numerators(ring, row)[1]
         for vec in vecs:
             x = y = 0
             for j, a, b in vec:
@@ -327,7 +322,7 @@ def _certify(ring: Ring, dens, ncols: int, image, exact_rows) -> Kernel:
     lifted = _lift_rows(ring, R, R_conj, p, s) if conj_pivots == pivots else None
     if lifted is not None:
         basis = _kernel_basis(ring, pivots, lifted, ncols)
-        if _annihilates(basis, rows, ring.d or 0):
+        if _annihilates(ring, basis, rows):
             return Kernel(len(pivots), tuple(pivots), basis, p, "lifted")
     pivots, R = _rref(rows, ncols)
     return Kernel(len(pivots), tuple(pivots), _kernel_basis(ring, pivots, R, ncols),

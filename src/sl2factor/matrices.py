@@ -33,27 +33,31 @@ class Mat2:
     """2x2 matrix with determinant 1 or -1, entries in one ring.
 
     Field order is the row-major reading a, c, b, d of the layout above.
+    The determinant is computed once, by the check at construction.
     """
 
     a: RElem
     c: RElem
     b: RElem
     d: RElem
+    _det: RElem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ring = self.a.ring
         for e in (self.c, self.b, self.d):
             if e.ring != ring:
                 raise RingMismatchError("matrix entries from different rings")
-        if self.det() not in (1, -1):
-            raise ValueError(f"determinant must be 1 or -1, got {self.det()}")
+        det = self.a * self.d - self.c * self.b
+        if det not in (1, -1):
+            raise ValueError(f"determinant must be 1 or -1, got {det}")
+        object.__setattr__(self, "_det", det)
 
     @property
     def ring(self) -> Ring:
         return self.a.ring
 
     def det(self) -> RElem:
-        return self.a * self.d - self.c * self.b
+        return self._det
 
     def __matmul__(self, other: Mat2) -> Mat2:
         if not isinstance(other, Mat2):
@@ -227,6 +231,8 @@ def word_from_json(ring: Ring, obj, default_shape: str = "lower") -> Word:
     if isinstance(obj, list):
         return Word(default_shape, tuple(ring.from_json(v) for v in obj))
     if isinstance(obj, dict) and "entries" in obj:
+        if not isinstance(obj["entries"], list):
+            raise ParseError("point entries must be a list")
         entries = tuple(ring.from_json(v) for v in obj["entries"])
         shape = obj.get("shape", default_shape)
         if shape not in WORD_SHAPES:

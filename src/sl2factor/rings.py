@@ -11,24 +11,29 @@ reduce only when a denominator other than 1 appears.  The same value
 type also represents arbitrary elements of the fraction field
 (denominators not supported on the inverted primes); `is_integral`
 tells the two apart, and exact division back into the ring goes
-through `div_exact`.
+through `div_exact`.  Arithmetic and comparisons mix elements only
+with Python ints, which are promoted; any other operand (a float, a
+Fraction, a string, None) is a TypeError.
 
-Canonical string form (whitespace-free, round-trips bit for bit):
+Element grammar, read by `Ring.parse` after stripping whitespace:
 
-    integers     "-12"
-    fractions    "7/8"          reduced, denominator > 0
-    quadratic    "(3-2*w)/4"    w stands for sqrt(d); "/r" is omitted
-                                when r = 1, and elements with b = 0 fall
-                                back to the rational form
+    integers     "-12"          [+-]digits
+    fractions    "7/8"          [+-]digits/digits
+    quadratic    "(3-2*w)/4"    ([+-]digits[+-]digits*w), then optionally
+                                /digits; w stands for sqrt(d)
+
+The canonical string form of an element is whitespace-free and round-
+trips bit for bit: fractions are reduced with denominator > 0, "/r" is
+omitted when r = 1, and elements with b = 0 take the rational form.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import gcd, isqrt
-from typing import NamedTuple
+from functools import cached_property, lru_cache, total_ordering
+from math import gcd, isqrt, lcm
+from typing import NamedTuple, Sequence
 
 ORDER_SEARCH_CAP = 10**6
 # bit cap on the Pell search; the fundamental unit of every Z[sqrt(d)]
@@ -211,20 +216,13 @@ class Ring:
 
     def parse(self, s: str) -> RElem:
         """Inverse of str(element) for this ring; accepts unreduced input."""
-        text = s.strip()
-        m = _INT_RE.fullmatch(text)
-        if m:
-            return RElem(self, int(text))
-        m = _FRAC_RE.fullmatch(text)
-        if m:
-            return RElem(self, int(m.group(1)), 0, int(m.group(2)))
-        m = _QUAD_RE.fullmatch(text)
-        if m:
-            if not self.is_quadratic:
-                raise ParseError(f"{s!r} has a sqrt part but the ring is {self}")
-            r = int(m.group(3)) if m.group(3) else 1
-            return RElem(self, int(m.group(1)), int(m.group(2)), r)
-        raise ParseError(f"cannot parse ring element {s!r}")
+        match = _ELEMENT_RE.fullmatch(s.strip())
+        if not match:
+            raise ParseError(f"cannot parse ring element {s!r}")
+        a, qa, qb, r = match.groups()
+        if qb is not None and not self.is_quadratic:
+            raise ParseError(f"{s!r} has a sqrt part but the ring is {self}")
+        return RElem(self, int(a or qa), int(qb or 0), int(r or 1))
 
     def from_json(self, v) -> RElem:
         """Element from a JSON payload value (bare integer or canonical string)."""
@@ -266,9 +264,9 @@ class Ring:
         return f"Z[sqrt({self.d}),1/{self.m}]"
 
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_FRAC_RE = re.compile(r"([+-]?\d+)/(\d+)")
-_QUAD_RE = re.compile(r"\(([+-]?\d+)([+-]\d+)\*w\)(?:/(\d+))?")
+# groups: a of a rational numerator, or a and b of "(a+b*w)"; then r
+_ELEMENT_RE = re.compile(
+    r"(?:([+-]?\d+)|\(([+-]?\d+)([+-]\d+)\*w\))(?:/(\d+))?")
 
 # groups: d, then m after sqrt(d) or m alone
 _RING_SPEC_RE = re.compile(
@@ -295,11 +293,13 @@ def make_ring(spec: str) -> Ring:
         raise ParseError(f"{e} in {spec!r}") from None
 
 
+@total_ordering
 class RElem:
     """One exact element (a + b*sqrt(d))/r of a ring's fraction field.
 
     Instances are immutable by convention; all operators return new
-    elements.  Mixed arithmetic with Python ints promotes the int.
+    elements.  Mixed arithmetic with Python ints promotes the int; any
+    other operand is a TypeError.
     """
 
     __slots__ = ("ring", "a", "b", "r")
@@ -329,14 +329,13 @@ class RElem:
             return other
         if isinstance(other, int):
             return _normal(self.ring, other, 0, 1)
-        return None
+        raise TypeError(f"ring elements mix only with ints, "
+                        f"not {type(other).__name__}")
 
     # -- ring structure ------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         if self.r == o.r == 1:
             return _normal(self.ring, self.a + o.a, self.b + o.b, 1)
         return _reduced(self.ring,
@@ -350,21 +349,13 @@ class RElem:
         return _normal(self.ring, -self.a, -self.b, self.r)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         if self.b and o.b:
             a = self.a * o.a + self.ring.d * self.b * o.b
         else:
@@ -385,16 +376,10 @@ class RElem:
         return _reduced(self.ring, s * self.a, -s * self.b, abs(n))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -430,8 +415,6 @@ class RElem:
     def div_exact(self, other) -> RElem | None:
         """self/other when the quotient lies in the ring, else None."""
         o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot divide by {other!r}")
         if not o:
             raise ZeroDivisionError("division by zero")
         q = self * o.inverse()
@@ -455,8 +438,6 @@ class RElem:
 
     def __lt__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         # (a1 + b1 w)/r1 < (a2 + b2 w)/r2  <=>  p < q*w  with the values below
         p = self.a * o.r - o.a * self.r
         q = o.b * self.r - self.b * o.r
@@ -466,18 +447,6 @@ class RElem:
         if q > 0:
             return p < 0 or p * p < q * q * d
         return p < 0 and p * p > q * q * d
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o < self
-
-    def __ge__(self, other):
-        return self == other or self > other
 
     # -- text ------------------------------------------------------------
 
@@ -510,6 +479,22 @@ def _reduced(ring: Ring, a: int, b: int, r: int) -> RElem:
         if g != 1:
             a, b, r = a // g, b // g, r // g
     return _normal(ring, a, b, r)
+
+
+def _numerators(ring: Ring, xs: Sequence[RElem]
+                ) -> tuple[int, list[tuple[int, int]]]:
+    """Common denominator R = lcm of the denominators of xs, and the
+    numerator pairs (a_j, b_j) with x_j = (a_j + b_j*w)/R."""
+    xs = tuple(xs)  # read twice below; a tuple is not copied
+    R = 1
+    for x in xs:
+        if x.ring is not ring and x.ring != ring:
+            raise RingMismatchError(f"mixed rings: {ring} and {x.ring}")
+        if x.r != 1:
+            R = lcm(R, x.r)
+    if R == 1:
+        return 1, [(x.a, x.b) for x in xs]
+    return R, [(x.a * (R // x.r), x.b * (R // x.r)) for x in xs]
 
 
 @lru_cache(maxsize=64)  # bounded: d comes from user ring specs
@@ -571,11 +556,11 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
     orders: dict[RElem, int] = {}
     stalled: list[RElem] = []
     for g in ring.unit_generators():
-        o = order_of(g)
-        if o is None:
+        order = order_of(g)
+        if order is None:
             stalled.append(g)
         else:
-            orders[g] = o
+            orders[g] = order
 
     units: list[RElem] = []
     seen: set[RElem] = set()

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
 import signal
+import string
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sl2factor import Mat2, Word, make_ring, vk_membership, word_to_matrix
-from sl2factor import cli
+from sl2factor import cli, rings
 from sl2factor.cli import main
 
 A_2335 = '{"a":"2","c":"3","b":"3","d":"5"}'
@@ -747,6 +752,157 @@ def test_deeply_nested_json_is_invalid_input(capsys, flag):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("entries", ['"1111"', '{"1":1}', "5", "null"])
+def test_point_entries_must_be_a_list(capsys, entries):
+    # a string or an object used to be read as its characters or keys
+    code = main(["verify", "--ring", "Z", "--matrix", A_2335,
+                 "--point", '{"entries":%s}' % entries])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: point entries must be a list\n"
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_type_and_key_errors_are_internal(capsys, monkeypatch, error):
+    # every malformed input becomes a ValueError before these can arise,
+    # so they are faults of the program
+    def fault(*args):
+        raise error("fault")
+
+    monkeypatch.setattr(cli, "membership_residuals", fault)
+    code = main(["verify", "--ring", "Z", "--matrix", A_2335,
+                 "--point", '["1","1","1","1"]'])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4 and captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+# -- hostile payloads -----------------------------------------------------------
+
+ELEMENT_STRINGS = sorted({text for _, text, _ in json.loads(
+    (ROOT / "tests" / "element_corpus.json").read_text())})
+# an explicit alphabet (ASCII, non-ASCII digits, NUL, a lone surrogate),
+# and no st.from_regex, spare hypothesis building its Unicode tables on
+# a fresh checkout
+TEXT = st.text(string.printable + "\u0661\u0662\u00bd\x00\ud800\u00e9",
+               max_size=8)
+
+
+def _element_text(a: int, b: int | None, r: int | None) -> str:
+    """The integer a, or (a+b*w), then /r unless r is None (r <= 0 is
+    malformed)."""
+    core = str(a) if b is None else f"({a}{b:+d}*w)"
+    return core if r is None else f"{core}/{r}"
+
+
+ELEMENTS = st.one_of(
+    st.sampled_from(ELEMENT_STRINGS),
+    st.builds(_element_text, st.integers(-999, 999),
+              st.none() | st.integers(-999, 999), st.none() | st.integers(-9, 999)),
+    st.integers(-10**40, 10**40), TEXT)
+SCALARS = st.none() | st.booleans() | st.floats() | ELEMENTS
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "c", "b", "d", "entries", "shape"])
+                      | TEXT, inner, max_size=4),
+    max_leaves=8)
+
+
+def _dump(value) -> str:
+    return json.dumps(value, allow_nan=True)
+
+
+def _weighted(*choices):
+    """One of the strategies, drawn with the integer weight paired with
+    it, so that most calls get past ring parsing to the payloads."""
+    return st.sampled_from([s for s, w in choices for _ in range(w)]
+                           ).flatmap(lambda s: s)
+
+
+# JSON texts beside dumped values: malformed, a 5000-digit literal,
+# nesting past the parser's depth
+RAW_JSON = st.sampled_from(["{oops", "", "[1,", '{"a":1}}', "1" * 5000,
+                            "[" * 5000, "NaN", "-Infinity", '"\\ud800"'])
+# well-formed payloads of both determinants, a huge entry, entries with
+# a sqrt part or a denominator
+GOOD_MATRICES = st.sampled_from(
+    [A_2335, IDENTITY, '{"a":"0","c":"1","b":"1","d":"0"}',
+     '{"a":"1","c":"%d","b":"0","d":"1"}' % 10**60,
+     '{"a":"(1+1*w)","c":"0","b":"0","d":"(-1+1*w)"}',
+     '{"a":"1/2","c":"0","b":"0","d":"2"}'])
+MATRICES = _weighted(
+    (GOOD_MATRICES, 6),
+    (st.fixed_dictionaries({k: ELEMENTS | JSON_VALUES for k in "acbd"}
+                           ).map(_dump), 2),
+    (JSON_VALUES.map(_dump), 1), (RAW_JSON, 1))
+GOOD_ENTRIES = st.sampled_from([["1", "1", "1", "1"], ["2", "1", "1", "1"],
+                                [], ["0"], [1, 1, 1, 1]])
+POINTS = _weighted(
+    (GOOD_ENTRIES.map(_dump), 2), (st.lists(ELEMENTS, max_size=5).map(_dump), 1),
+    (st.fixed_dictionaries(
+        {"entries": _weighted((GOOD_ENTRIES, 1), (SCALARS, 2),
+                              (JSON_VALUES, 1))},
+        optional={"shape": st.sampled_from(["lower", "upper", "D", "spiral"])
+                  | JSON_VALUES}).map(_dump), 4),
+    (JSON_VALUES.map(_dump), 1), (RAW_JSON, 1))
+RING_SPECS = _weighted(
+    (st.sampled_from(["Z", "Z[1/2]", "Z[1/6]", "Z[sqrt(2)]", "Z[sqrt(3),1/2]"]),
+     6),
+    (st.sampled_from(["", "Q", "Z[sqrt(4)]", "Z[1/1]", "Z[sqrt(2),1/0]", "Z[",
+                      "z", " Z ", "Z[sqrt(1)]"]), 1),
+    (TEXT, 1))
+MODULI = _weighted((ELEMENTS.map(str), 3), (JSON_VALUES.map(_dump), 1))
+INVOCATIONS = st.one_of(
+    st.builds(lambda r, m, p: ["verify", "--ring=" + r, "--matrix=" + m,
+                               "--point=" + p], RING_SPECS, MATRICES, POINTS),
+    st.builds(lambda r, m: ["factor", "--ring=" + r, "--matrix=" + m],
+              RING_SPECS, MATRICES),
+    st.builds(lambda r, m, p, n: ["orbit", "--ring=" + r, "--matrix=" + m,
+                                  "--point=" + p, "-n", n],
+              RING_SPECS, MATRICES, POINTS, st.sampled_from(["1", "2"])),
+    st.builds(lambda r, m, n: ["units", "--ring=" + r, "--modulus=" + m,
+                               "-n", n],
+              RING_SPECS, MODULI, st.sampled_from(["1", "3"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=INVOCATIONS)
+@example(argv=["orbit", "--ring=Z[1/2]", "--matrix=" + A_2335,
+               "--point=" + '["1","1","1","1"]', "-n", "2"])
+@example(argv=["units", "--ring=Z", "--modulus=3", "-n", "3"])
+@example(argv=["units", "--ring=Z[sqrt(2)]", "--modulus=(3+2*w)", "-n", "3"])
+def test_hostile_payloads_keep_the_exit_contract(argv):
+    """Any --ring, --matrix, --point or --modulus value ends in a
+    documented exit with the output that code promises, and never in a
+    traceback.  The unit search's step cap is lowered so that a large
+    valid modulus costs milliseconds: this test is about parsing
+    payloads, not about search budgets."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "ORDER_SEARCH_CAP", 50)
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err and "internal error" not in err, argv
+    lines = [json.loads(line) for line in out.splitlines()]
+    if code == 1:
+        assert not out and err.startswith("error:"), argv
+        assert err.count("\n") == 1, argv
+    elif code == 0:
+        assert lines, argv
+        # an orbit may report a stalled unit search beside its points
+        assert all(line.startswith("unit search stalled")
+                   for line in err.splitlines()), argv
+    elif argv[0] == "units":  # its one line also reports no or too few units
+        assert code in (2, 3) and len(lines) == 1, argv
+        assert not lines[0]["units"] if code == 2 else lines[0]["stalled"]
+    else:  # a search gave up: the points it found, then why
+        assert code == 3, argv
+        assert err.splitlines()[-1].startswith("budget exhausted"), argv
 
 
 # every flag the parser knows, with a well-formed value

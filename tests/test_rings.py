@@ -1,8 +1,11 @@
 """Ring construction, exact element arithmetic, serialization, units."""
 
+import json
 import math
+import operator
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +19,7 @@ from sl2factor.rings import (TRIAL_DIVISION_BOUND, _is_prime, _is_squarefree,
                              _order_finder, _pell_min_unit, _prime_factors,
                              _strip_part)
 
-from conftest import congruent_mod
+from conftest import congruent_mod, opair
 
 COEF = st.integers(min_value=-10**6, max_value=10**6)
 DENOM = st.integers(min_value=1, max_value=10**4)
@@ -151,6 +154,27 @@ def test_parse_rejects_malformed(Z, Zr2):
             Zr2.parse(bad)
     with pytest.raises(ParseError):
         Z.parse("(1+2*w)/3")  # no w in a rational ring
+
+
+# (ring spec, string, outcome) for 150 valid and malformed strings in
+# each of Z, Z[1/2] and Z[sqrt(2)], recorded from the parser when it
+# still tried three separate regexes (integer, fraction, quadratic);
+# an outcome is ["ok", str, a, b, r] or [exception name, message]
+ELEMENT_CORPUS = json.loads(
+    (Path(__file__).parent / "element_corpus.json").read_text())
+
+
+def test_element_corpus_is_pinned():
+    assert len(ELEMENT_CORPUS) >= 200
+    by_spec = {spec: make_ring(spec) for spec in ("Z", "Z[1/2]", "Z[sqrt(2)]")}
+    for spec, text, want in ELEMENT_CORPUS:
+        try:
+            x = by_spec[spec].parse(text)
+        except (ParseError, ZeroDivisionError) as e:
+            got = [type(e).__name__, str(e)]
+        else:
+            got = ["ok", str(x), x.a, x.b, x.r]
+        assert got == want, (spec, text)
 
 
 @given(a=COEF, b=COEF, r=DENOM)
@@ -336,6 +360,52 @@ def test_order_is_total_and_consistent(a, b, c, d2):
     assert (x < y) + (y < x) + (x == y) == 1
     if x < y:
         assert x + 1 < y + 1 and x - y < ring.zero
+
+
+def oracle_sign(d, pair) -> int:
+    """Sign of p + q*sqrt(d) for a fraction pair (p, q)."""
+    p, q = pair
+    if q == 0 or p * q >= 0:
+        return (p > 0) - (p < 0) or (q > 0) - (q < 0)
+    # p and q of opposite signs: the larger of p^2 and q^2*d wins
+    return (p > 0) - (p < 0) if p * p > q * q * d else (q > 0) - (q < 0)
+
+
+COMPARISONS = (operator.lt, operator.le, operator.gt, operator.ge)
+CMP_RINGS = ("Z[1/6]", "Z[sqrt(2)]", "Z[sqrt(3),1/2]")
+
+
+@settings(max_examples=200)
+@given(spec=st.sampled_from(CMP_RINGS), data=st.data())
+def test_comparisons_match_fraction_pair_oracle(spec, data):
+    ring = make_ring(spec)
+    x, y = draw_element(data, ring), draw_element(data, ring)
+    n = data.draw(st.integers(-2**70, 2**70))
+    d = ring.d or 0
+    for u, v in ((x, y), (y, x), (x, x), (x, n), (n, x)):
+        pu = opair(u) if isinstance(u, RElem) else (Fraction(u), Fraction(0))
+        pv = opair(v) if isinstance(v, RElem) else (Fraction(v), Fraction(0))
+        sign = oracle_sign(d, (pu[0] - pv[0], pu[1] - pv[1]))
+        for cmp in COMPARISONS:
+            assert cmp(u, v) is cmp(sign, 0), (cmp, u, v)
+
+
+NOT_INTS = (1.5, Fraction(1, 2), "1", None)
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
+          operator.pow, *COMPARISONS)
+
+
+@pytest.mark.parametrize("other", NOT_INTS, ids=repr)
+def test_non_int_operands_raise_type_error(Zr2, other):
+    x = Zr2.el(3, -2, 5)
+    for op in BINARY:
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    with pytest.raises(TypeError):
+        x.div_exact(other)
+    assert x != other and not x == other  # equality stays total
 
 
 def test_is_integral(Z, Z_half, Z_sixth, Zr2, Zr2_half):

@@ -25,8 +25,8 @@ from sl2factor import (
 )
 from sl2factor.matrices import shape_target
 
-from conftest import (assert_matches_oracle, elem_product, rand_int_word,
-                      rand_matrix)
+from conftest import (assert_matches_oracle, elem_product, omat, omul_el,
+                      rand_int_word, rand_matrix)
 
 
 def mat(ring, a, c, b, d):
@@ -67,6 +67,21 @@ def test_determinant_gate(Z):
     with pytest.raises(ValueError):
         mat(Z, 2, 0, 0, 1)
     assert mat(Z, 0, 1, 1, 0).det() == -1  # det -1 is allowed
+
+
+def test_det_is_the_entry_formula(rng, Z, Z_sixth, Zr2, Zr2_half):
+    """det() returns the determinant kept from construction; it equals
+    a*d - c*b in ring arithmetic and in the fraction-pair oracle."""
+    for ring in (Z, Z_sixth, Zr2, Zr2_half):
+        for _ in range(20):
+            xs = tuple(ring.el(rng.randint(-9, 9), 0, rng.choice((1, 2, 3, 4)))
+                       for _ in range(rng.randint(0, 6)))
+            A = word_to_matrix(Word("lower", xs), ring=ring)
+            for M, sign in ((A, 1), (A @ t_matrix(ring), -1)):
+                assert M.det() == M.a * M.d - M.c * M.b == sign
+                a, c, b, d = omat(M)
+                ad, cb = omul_el(ring.d, a, d), omul_el(ring.d, c, b)
+                assert (ad[0] - cb[0], ad[1] - cb[1]) == (sign, 0)
 
 
 def test_cross_ring_entries_rejected(Z, Z_half):
@@ -290,3 +305,8 @@ def test_word_json_defaults_and_gate(Z):
     for bad in ({"shape": "lower"}, 5, "1", None):
         with pytest.raises(ParseError, match="point payload must be a list"):
             word_from_json(Z, bad)
+    # entries must be a JSON array: a string or an object is not read
+    # as the sequence of its characters or keys
+    for bad in ("1111", {"1": 1}, 5, None):
+        with pytest.raises(ParseError, match="^point entries must be a list$"):
+            word_from_json(Z, {"entries": bad})
