@@ -11,7 +11,8 @@ it reads (`_COMMANDS`); any other flag exits 1, and
 Exit codes: 0 success, 1 invalid input, 2 empty result within the given
 bounds, 3 search budget exhausted, 4 internal error.  Codes 2 and 3 are
 deliberately distinct: "no point exists in this box" and "the search
-gave up" are different findings.  Code 4 reports a fault of the
+gave up" are different findings, and a unit search that stalled short
+of the count gave up.  Code 4 reports a fault of the
 program, not of the input: a fail-closed check refused a result (a
 point that fails the equations is never printed), a bounded
 computation such as the Pell unit search did not finish, or a
@@ -53,11 +54,9 @@ def _emit(out, obj):
 
 def _parse_bound(text: str) -> HeightBound:
     parts = text.split(",")
-    if len(parts) == 1:
-        return HeightBound(int(parts[0]))
-    if len(parts) == 2:
-        return HeightBound(int(parts[0]), int(parts[1]))
-    raise ParseError(f"bad bound {text!r}: expected MAX or MAX,DENOM_EXP")
+    if len(parts) > 2:
+        raise ParseError(f"bad bound {text!r}: expected MAX or MAX,DENOM_EXP")
+    return HeightBound(*map(int, parts))
 
 
 def _json(text: str, flag: str):
@@ -127,7 +126,8 @@ def cmd_orbit(args, out) -> int:
     if run.stalled:
         print("unit search stalled at moduli: "
               + ", ".join(str(m) for m in run.stalled), file=sys.stderr)
-    if run.exhausted:
+    # a stalled unit search is a search that gave up when it cut the run short
+    if run.exhausted or (run.stalled and len(run.records) < args.count):
         print(f"budget exhausted after {len(run.records)} points",
               file=sys.stderr)
         return EXIT_BUDGET
@@ -190,11 +190,10 @@ def cmd_units(args, out) -> int:
     _emit(out, {"units": [str(u) for u in res.units],
                 "finite_group": res.finite_group,
                 "stalled": [str(g) for g in res.stalled]})
-    if not res.units:
-        return EXIT_EMPTY
+    # a stall explains a short answer, so it is read before "no units"
     if len(res.units) < args.count and res.stalled:
         return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_OK if res.units else EXIT_EMPTY
 
 
 # every flag any subcommand reads: option strings, add_argument keywords

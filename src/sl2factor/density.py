@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from itertools import combinations_with_replacement
 from math import comb, gcd, isqrt
 from typing import NamedTuple, Sequence
 
@@ -47,28 +48,22 @@ BASELINE_TAIL_SPAN = 40
 _PRIME_START = 2**61 - 1
 
 
-def monomial_exponents(k: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of all k-variable monomials of total degree at
-    most `degree`: ascending in degree, lexicographically descending
-    within a degree.  Length C(k + degree, degree)."""
+def _monomials(k: int, degree: int) -> list[tuple[int, ...]]:
+    """Variable indices i1 <= ... <= id of each monomial x_i1 ... x_id
+    of degree at most `degree`, in the order of `monomial_exponents`."""
     if k < 1:
         raise ValueError("need at least one variable")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    return [c for d in range(degree + 1)
+            for c in combinations_with_replacement(range(k), d)]
 
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total, -1, -1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
 
-    out = []
-    for d in range(degree + 1):
-        out.extend(compositions(d, k))
-    assert len(out) == comb(k + degree, degree)
-    return out
+def monomial_exponents(k: int, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of all k-variable monomials of total degree at
+    most `degree`: ascending in degree, lexicographically descending
+    within a degree.  Length C(k + degree, degree)."""
+    return [tuple(map(c.count, range(k))) for c in _monomials(k, degree)]
 
 
 def _point_entries(P) -> tuple[RElem, ...]:
@@ -88,13 +83,12 @@ def _evaluation_plan(points: Sequence, degree: int) -> tuple[
     k = len(coords[0])
     if any(len(e) != k for e in coords):
         raise ValueError("points of mixed lengths")
-    exps = monomial_exponents(k, degree)
-    # every later monomial is an earlier one times its first variable
-    index = {e: j for j, e in enumerate(exps)}
-    firsts = [next(i for i, ei in enumerate(e) if ei) for e in exps[1:]]
-    steps = [(index[e[:i] + (e[i] - 1,) + e[i + 1:]], i)
-             for e, i in zip(exps[1:], firsts)]
-    return coords, exps, steps
+    monomials = _monomials(k, degree)
+    # every later monomial is an earlier one, its indices without the
+    # first, times the variable of that first index
+    index = {c: j for j, c in enumerate(monomials)}
+    steps = [(index[c[1:]], c[0]) for c in monomials[1:]]
+    return coords, monomial_exponents(k, degree), steps
 
 
 def monomial_matrix(points: Sequence, degree: int) -> tuple[list[list[RElem]], list[tuple[int, ...]]]:

@@ -160,13 +160,11 @@ class Word:
 
     A word whose product is A is also a point of the factorization
     variety of A.  Entries may lie anywhere in the fraction field; the
-    `integral` flag says whether all of them lie in the ring.  The note
-    is free-form provenance and takes no part in equality or hashing.
+    `integral` flag says whether all of them lie in the ring.
     """
 
     shape: str
     entries: tuple[RElem, ...]
-    note: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.shape not in WORD_SHAPES:

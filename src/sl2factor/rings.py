@@ -550,7 +550,6 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
     if count < 0:
         raise ValueError("count must be >= 0")
     one = ring.one
-    minus_one = RElem(ring, -1)
     order_of = _order_finder(ring, modulus)
 
     orders: dict[RElem, int] = {}
@@ -566,7 +565,7 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
     seen: set[RElem] = set()
     # -1 is the only torsion generator; without another (over Z) one
     # pass is exhaustive and yields -1 exactly when its order is 1
-    can_grow = any(g != minus_one for g in orders)
+    can_grow = any(g != -1 for g in orders)
     j = 1
     while len(units) < count:
         for g, o in orders.items():

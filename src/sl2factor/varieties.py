@@ -90,26 +90,15 @@ def factor_euclid(A: Mat2) -> Word:
     a, c, b, d = A.a.a, A.c.a, A.b.a, A.d.a
 
     letters: list[int] = []  # kinds are implied: L at even index, U at odd
-
-    def peel_lower(q: int):  # A = L(q) * rest
-        nonlocal b, d
-        b -= q * a
-        d -= q * c
-        letters.append(q)
-
-    def peel_upper(q: int):  # A = U(q) * rest
-        nonlocal a, c
-        a -= q * b
-        c -= q * d
-        letters.append(q)
-
     while a != 0 and b != 0:
-        expect_lower = len(letters) % 2 == 0
         prefer_lower = abs(b) >= abs(a)
-        if expect_lower:
-            peel_lower(_balanced_quotient(b, a) if prefer_lower else 0)
-        else:
-            peel_upper(_balanced_quotient(a, b) if not prefer_lower else 0)
+        if len(letters) % 2 == 0:  # A = L(q) * rest
+            q = _balanced_quotient(b, a) if prefer_lower else 0
+            b, d = b - q * a, d - q * c
+        else:  # A = U(q) * rest
+            q = 0 if prefer_lower else _balanced_quotient(a, b)
+            a, c = a - q * b, c - q * d
+        letters.append(q)
 
     expect_lower = len(letters) % 2 == 0
     if b == 0:
@@ -160,7 +149,6 @@ def solve_k3(A: Mat2) -> K3Solution:
     """
     if A.det() != 1:
         raise ValueError("solve_k3 needs determinant 1")
-    ring = A.ring
     if A.c:
         return K3Solution("unique", _verified(A, Word(
             "lower", ((A.d - 1) / A.c, A.c, (A.a - 1) / A.c))))
@@ -175,26 +163,20 @@ def fiber_lift(A: Mat2, tail: Sequence[RElem]) -> Word | None:
     core.
 
     Returns None when the core is unsolvable.  When the core degenerates
-    to a family, the t = 0 representative comes back with the note
-    "non-generic fiber".  Entries may land outside the ring; check
-    `integral`.
+    to a family, the t = 0 representative comes back.  The lift lies on
+    a non-generic fiber exactly when x2 = 0: x2 is c'(tail), the
+    top-right entry of the peeled matrix, and the unique branch needs
+    c' != 0.  Entries may land outside the ring; check `integral`.
     """
-    ring = A.ring
     tail = tuple(tail)
-    k = len(tail) + 3
     m = (A.a, A.c, A.b, A.d)
-    for pos in range(k, 3, -1):
+    for pos in range(len(tail) + 3, 3, -1):
         m = _times_elem(m, letter_kind("lower", pos), -tail[pos - 4])
     sol = solve_k3(Mat2(*m))
     if sol.kind == "empty":
         return None
-    if sol.kind == "unique":
-        entries = sol.point.entries + tail
-        note = None
-    else:
-        entries = sol.family_point(ring.zero).entries + tail
-        note = "non-generic fiber"
-    return _verified(A, Word("lower", entries, note))
+    core = sol.point if sol.kind == "unique" else sol.family_point(A.ring.zero)
+    return _verified(A, Word("lower", core.entries + tail))
 
 
 # -- transports ----------------------------------------------------------
@@ -256,12 +238,48 @@ class HeightBound:
 def coordinate_box(ring: Ring, bound: HeightBound) -> list[RElem]:
     """All ring elements inside the box, in increasing value order."""
     denoms = [1]
-    for p in ring.inverted_primes:
+    # with MAX 0 every numerator is 0, whatever the denominator
+    for p in ring.inverted_primes if bound.max_abs else ():
         denoms = [q * p**e for q in denoms for e in range(bound.denom_exp + 1)]
     span = range(-bound.max_abs, bound.max_abs + 1)
     return sorted({RElem(ring, num, w, r) for num in span
                    for w in (span if ring.is_quadratic else (0,))
                    for r in denoms})
+
+
+def _box_size(ring: Ring, bound: HeightBound, limit: int) -> int | None:
+    """len(coordinate_box(ring, bound)), counted without building the box,
+    or None when the box has denominators other than 1 and a lower bound
+    on it, (2*M+1)^q or (E+1)^r, exceeds `limit`; here M = MAX,
+    E = DENOM_EXP, q = 2 in quadratic rings (else 1) and r is the number
+    of inverted primes.
+
+    A value is in the box exactly when its normal form (a + b*w)/den has
+    |a|, |b| <= M and den among the denominators, so the count is that
+    of such triples with gcd(a, b, den) = 1, by inclusion-exclusion over
+    the sets T of inverted primes dividing all three: the primes of T
+    divide E^|T| (E+1)^(r-|T|) of the denominators and
+    (2*floor(M/prod T)+1)^q of the numerator pairs.  The pair (0, 0)
+    counts once over all sets together (their signed terms sum to 1,
+    the value 0), so the sum runs over the other pairs, which need
+    prod T <= M.
+    """
+    M, E = bound.max_abs, bound.denom_exp
+    q = 2 if ring.is_quadratic else 1
+    pairs = (2 * M + 1) ** q
+    # factoring m may refuse the ring (ParseError), before any budget
+    primes = ring.inverted_primes
+    if not (M and E and primes):
+        return pairs
+    r = len(primes)
+    if (pairs > limit or r > limit.bit_length() or E >= limit
+            or (E + 1) ** r > limit):
+        return None
+    sets = [(1, 0)]  # (product, size) of each T with product <= M
+    for p in primes:
+        sets += [(t * p, s + 1) for t, s in sets if t * p <= M]
+    return 1 + sum((-E) ** s * (E + 1) ** (r - s) * ((2 * (M // t) + 1) ** q - 1)
+                   for t, s in sets)
 
 
 def _fields(m: tuple) -> tuple[int, ...]:
@@ -305,8 +323,9 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str,
     x(j+1) off its end, which leaves target·elem(-xk)·…·elem(-x(j+1)),
     the very left product a match needs.  Raises BudgetError when a half
     of e letters over a box of n values would take more than
-    ENUM_HALF_CAP letters (the module value at call time), e·n^e; the
-    gate never forms a power larger than the cap.  Every match passes
+    ENUM_HALF_CAP letters (the module value at call time), e·n^e.  The
+    gate is decided before the box is built, on its count (`_box_size`),
+    and never raises n past the cap's bit length.  Every match passes
     the output gate, so a refused recheck is an AssertionError, never a
     dropped point.
     """
@@ -319,13 +338,18 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str,
     if k == 0:
         ok = target == identity(ring)
         return [Word(shape, ())] if ok else []
-    box = coordinate_box(ring, bound)
     j = k // 2
-    n, e = len(box), max(j, k - j)
+    e = max(j, k - j)
     cap = ENUM_HALF_CAP
+    # a half of e >= 1 letters over more than cap values exceeds the cap
+    n = _box_size(ring, bound, cap)
+    if n is None:
+        raise BudgetError(f"more than {cap}^{e} half-words of {e} letters "
+                          f"exceed the cap")
     # with n >= 2, n^e > cap once e exceeds its bit length
     if (n > 1 and e > cap.bit_length()) or e * n**e > cap:
         raise BudgetError(f"{n}^{e} half-words of {e} letters exceed the cap")
+    box = coordinate_box(ring, bound)
 
     one, zero = ring.one, ring.zero
     table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

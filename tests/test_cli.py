@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2factor import Mat2, Word, make_ring, vk_membership, word_to_matrix
-from sl2factor import cli, rings
+from sl2factor import cli, orbits, rings
 from sl2factor.cli import main
 
 A_2335 = '{"a":"2","c":"3","b":"3","d":"5"}'
@@ -62,6 +62,18 @@ def test_factor_euclid_honours_shape(capsys, shape):
     word = Word(shape, tuple(ring.parse(v) for v in lines[0]["entries"]))
     got = word_to_matrix(word, ring=ring)
     assert (str(got.a), str(got.c), str(got.b), str(got.d)) == ("2", "3", "3", "5")
+
+
+@pytest.mark.parametrize("shape, line", [
+    ("lower", '{"shape":"lower","k":6,"entries":["1","-1","2","-1","1","-5"]}'),
+    ("upper", '{"shape":"upper","k":6,"entries":["-5","1","-1","2","-1","1"]}'),
+])
+def test_factor_minus_identity_residual(capsys, shape, line):
+    # (-1 5; 0 -1) is -I times U(-5): the fixed -I word, merged with U(-5)
+    # when the word starts upper
+    code = main(["factor", "--ring", "Z", "--shape", shape,
+                 "--matrix", '{"a":"-1","c":"5","b":"0","d":"-1"}'])
+    assert code == 0 and capsys.readouterr().out == line + "\n"
 
 
 def test_factor_identity(capsys):
@@ -171,6 +183,28 @@ def test_orbit_closed_set_is_not_an_error(capsys):
                          "--point", '["1","2","3","4"]', "-n", "4")
     assert code == 0
     assert len(lines) == 1  # nothing reachable beyond the seed over Z
+
+
+def test_orbit_budget_exhausted(capsys, monkeypatch):
+    # three window attempts make the README orbit's first five points
+    monkeypatch.setattr(orbits, "ORBIT_BUDGET", 3)
+    argv, stdout = README_CLI[3][:2]
+    assert main(argv) == cli.EXIT_BUDGET == 3
+    captured = capsys.readouterr()
+    assert captured.out == "".join(stdout.splitlines(keepends=True)[:5])
+    assert captured.err == "budget exhausted after 5 points\n"
+
+
+def test_orbit_stall_that_cuts_the_run_short_exits_3(capsys):
+    # the seed's one window has modulus 1000003, where the order of 2 is
+    # 1000002, past ORDER_SEARCH_CAP: the search gave up, exit 3
+    code, lines, err = run(
+        capsys, "orbit", "--ring", "Z[1/2]", "--matrix",
+        '{"a":"1000003","c":"2000005","b":"1000004","d":"2000007"}',
+        "--point", '["1","1000002","1","1"]', "-n", "5")
+    assert code == 3 and [obj["action"] for obj in lines] == ["seed"]
+    assert err == ("unit search stalled at moduli: 1000003\n"
+                   "budget exhausted after 1 points\n")
 
 
 def test_orbit_rejects_non_member_seed(capsys):
@@ -289,6 +323,43 @@ def test_enum_budget_gate_is_cheap(k, bound):
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr.startswith("budget exhausted:")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def _refused(message):
+    return 3, "", f"budget exhausted: {message} exceed the cap\n"
+
+
+@pytest.mark.parametrize("ring, k, bound, want", [
+    # boxes of 2*10^6 + 1 and 4001^2 values, counted and never built
+    ("Z", "1", "1000000", _refused("2000001^1 half-words of 1 letters")),
+    ("Z[sqrt(2)]", "1", "2000", _refused("16008001^1 half-words of 1 letters")),
+    # MAX 0 is the box {0}, whatever DENOM_EXP allows
+    ("Z[1/2]", "2", "0,100000000",
+     (0, '{"shape":"lower","entries":["0","0"],"integral":true}\n', "")),
+    # 500000501 values, counted by inclusion-exclusion
+    ("Z[1/2]", "2", "500,999999", _refused("500000501^1 half-words of 1 letters")),
+    # 10^8 + 1 denominators: a lower bound on the box past the cap
+    ("Z[1/2]", "2", "1,100000000",
+     _refused("more than 1000000^1 half-words of 1 letters")),
+])
+def test_box_gate_is_decided_before_the_box(ring, k, bound, want):
+    # no large box or power of a prime is formed to decide the gate: the
+    # process, interpreter start included, ends within 1 s
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "sl2factor.cli", "enum", "--ring", ring,
+           "--matrix", IDENTITY, "--k", k, "--bound", bound]
+    start = time.perf_counter()
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=2)
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout, done.stderr) == want
+
+
+def test_enum_rejects_a_bound_of_three_parts(capsys):
+    code, lines, err = run(capsys, "enum", "--ring", "Z", "--matrix", IDENTITY,
+                           "--k", "3", "--bound", "1,2,3")
+    assert code == 1 and not lines
+    assert err == "error: bad bound '1,2,3': expected MAX or MAX,DENOM_EXP\n"
 
 
 def test_enum_cap_refuses_past_a_million_letters(capsys):
@@ -554,6 +625,15 @@ def test_units_empty_over_z(capsys):
     code, lines, _ = run(capsys, "units", "--ring", "Z", "--modulus", "3")
     assert code == 2
     assert lines == [{"units": [], "finite_group": True, "stalled": []}]
+
+
+def test_units_stall_exits_3(capsys):
+    # the order of 2 mod 1000003 is 1000002, past ORDER_SEARCH_CAP: the
+    # search gave up, which is not the same finding as "no units"
+    code, lines, err = run(capsys, "units", "--ring", "Z[1/2]",
+                           "--modulus", "1000003", "-n", "3")
+    assert code == 3 and err == ""
+    assert lines == [{"units": [], "finite_group": False, "stalled": ["2"]}]
 
 
 def test_units_needs_modulus(capsys):

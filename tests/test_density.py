@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -49,6 +51,22 @@ def test_monomial_exponents_count():
             assert len(exps) == comb(k + D, D)
             assert len(set(exps)) == len(exps)
             assert all(len(e) == k and sum(e) <= D for e in exps)
+
+
+def test_monomial_order_is_pinned(Z):
+    # sha256 of the exponent lists for k <= 8, D <= 5 and of the step
+    # tables for k <= 7, D <= 4, recorded from a recursive composition
+    # generator and a first-nonzero-variable step search
+    exps, steps = hashlib.sha256(), hashlib.sha256()
+    for k, D in itertools.product(range(1, 9), range(6)):
+        exps.update(repr(monomial_exponents(k, D)).encode())
+        if k <= 7 and D <= 4:
+            plan = density._evaluation_plan([(Z.one,) * k], D)
+            steps.update(repr(plan[2]).encode())
+    assert exps.hexdigest() == (
+        "b3194cd9c0fd1064296fc1c91b179b4ea077cacf67968a4aaeff66a751e51e0c")
+    assert steps.hexdigest() == (
+        "ef0f74cd9b9dc740ef1183e0e39407e30ec9f4fa39394489375cdc4e51222c3d")
 
 
 def test_monomial_exponents_gates():

@@ -32,6 +32,8 @@ def test_ring_spec_grammar():
     assert str(make_ring("Z[sqrt(7),1/3]")) == "Z[sqrt(7),1/3]"
 
 
+UNDECIDABLE_D = (10**9 + 7) * (10**9 + 9)
+
 # every rejected spec and its whole message
 REJECTED_SPECS = {
     "": "unrecognized ring spec ''",
@@ -46,6 +48,12 @@ REJECTED_SPECS = {
     "Z[2]": "unrecognized ring spec 'Z[2]'",
     "Z[sqrt(2)": "unrecognized ring spec 'Z[sqrt(2)'",
     "z": "unrecognized ring spec 'z'",
+    # two primes above the trial division bound, product past its cube:
+    # undecidable, and the message says so rather than "not squarefree"
+    f"Z[sqrt({UNDECIDABLE_D})]": (
+        f"cannot decide whether {UNDECIDABLE_D} is squarefree: its cofactor "
+        f"{UNDECIDABLE_D} has no prime factor up to 1000000 and is not a "
+        f"proven prime"),
 }
 
 

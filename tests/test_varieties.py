@@ -4,6 +4,8 @@ fiber lifting, transports, unit-product points, bounded enumeration."""
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -59,12 +61,6 @@ def test_point_tuple_basics(Z, Z_half):
     assert not Word("lower", (Z.el(1, 0, 2),)).integral  # 1/2 is not in Z
     with pytest.raises(ValueError):
         Word("spiral", ())
-
-
-def test_point_note_is_not_identity(Z):
-    P = Word("lower", els(Z, 1), "scratch")
-    Q = Word("lower", els(Z, 1))
-    assert P == Q and hash(P) == hash(Q)
 
 
 def test_point_json_round_trip(Z_half):
@@ -124,6 +120,22 @@ def test_factor_round_trips(rng, Z):
         assert word_to_matrix(w, ring=Z) == A
 
 
+# [a, c, b, d, letters of factor_euclid(A), letters of factor_euclid(A.prime())]
+# for every integer A in SL2(Z) with entries in [-3, 3] and seeded products
+# of up to 9 letters, some negated; together they run every branch of the
+# loop and of the residual expansions
+EUCLID_CORPUS = json.loads(
+    (Path(__file__).parent / "euclid_corpus.json").read_text())
+
+
+def test_euclid_corpus_is_pinned(Z):
+    assert len(EUCLID_CORPUS) == 1100
+    for a, c, b, d, lower, primed in EUCLID_CORPUS:
+        A = mat(Z, a, c, b, d)
+        assert [x.a for x in factor_euclid(A).entries] == lower, A
+        assert [x.a for x in factor_euclid(A.prime()).entries] == primed, A
+
+
 def test_factor_rejects_bad_inputs(Z, Z_half, Zr2):
     with pytest.raises(ValueError):
         factor_euclid(mat(Z, 0, 1, 1, 0))  # det -1
@@ -173,11 +185,11 @@ def test_solve_k3_fractional_output(Z):
 def test_fiber_lift_examples(Z):
     A = mat(Z, 2, 3, 3, 5)
     P = fiber_lift(A, els(Z, 1))
-    assert P.entries == els(Z, 1, 1, 1, 1) and P.note is None
+    assert P.entries == els(Z, 1, 1, 1, 1)  # x2 = 1: a generic fiber
 
+    # the identity's core is the family (t, 0, -t): x2 = 0, non-generic
     P = fiber_lift(identity(Z), els(Z, 0))
     assert P.entries == els(Z, 0, 0, 0, 0)
-    assert P.note == "non-generic fiber"
 
     assert fiber_lift(mat(Z, -1, -2, 0, -1), els(Z, 2)) is None
 
@@ -204,17 +216,18 @@ def test_fiber_lift_reproduces_points(rng, Z, Zr2):
 
 def mat2_peel_lift(A, tail):
     """fiber_lift as it was written with a Mat2 product per peeled letter:
-    the reference the letter-step peel must reproduce, note included."""
+    the reference the letter-step peel must reproduce.  Returns the
+    point, or None, and the kind of the length-3 core."""
     B = A
     for pos in range(len(tail) + 3, 3, -1):
         B = B @ elem("L" if pos % 2 else "U", -tail[pos - 4])
     sol = solve_k3(B)
     if sol.kind == "empty":
-        return None
+        return None, sol.kind
     if sol.kind == "unique":
-        return Word("lower", sol.point.entries + tuple(tail))
-    return Word("lower", sol.family_point(A.ring.zero).entries + tuple(tail),
-                "non-generic fiber")
+        return Word("lower", sol.point.entries + tuple(tail)), sol.kind
+    return (Word("lower", sol.family_point(A.ring.zero).entries + tuple(tail)),
+            sol.kind)
 
 
 def test_fiber_lift_matches_mat2_peel(rng, Z, Z_half, Zr2):
@@ -228,21 +241,22 @@ def test_fiber_lift_matches_mat2_peel(rng, Z, Z_half, Zr2):
                        for _ in range(k))
             A = word_to_matrix(Word("lower", xs), ring=ring)
             tail = xs[3:] if trial % 2 else rand_int_word(rng, ring, k - 3, 2)
-            want, got = mat2_peel_lift(A, tail), fiber_lift(A, tail)
+            (want, kind), got = mat2_peel_lift(A, tail), fiber_lift(A, tail)
             assert got == want
+            # a lift is non-generic (a family core) exactly when x2 = 0
             if want is not None:
-                assert got.note == want.note
-            kinds.add("empty" if want is None else want.note or "unique")
+                assert (got.entries[1] == 0) == (kind == "family")
+            kinds.add(kind)
     # the three outcomes: unique, empty (-I core), family (a = 1, c = 0)
     cases = [(mat(Z, 2, 3, 3, 5), els(Z, 1)),
              (mat(Z, -1, -3, 0, -1), els(Z, 3)),
              (mat(Z, 1, 2, 5, 11), els(Z, 2))]
-    for (A, tail), note in zip(cases, (None, None, "non-generic fiber")):
-        want, got = mat2_peel_lift(A, tail), fiber_lift(A, tail)
-        assert got == want and (got is None) == (A.a == -1)
-        assert got is None or got.note == note
-        kinds.add("empty" if want is None else want.note or "unique")
-    assert kinds == {"unique", "empty", "non-generic fiber"}
+    for (A, tail), case_kind in zip(cases, ("unique", "empty", "family")):
+        (want, kind), got = mat2_peel_lift(A, tail), fiber_lift(A, tail)
+        assert got == want and kind == case_kind
+        assert got is None or (got.entries[1] == 0) == (kind == "family")
+        kinds.add(kind)
+    assert kinds == {"unique", "empty", "family"}
 
 
 # -- transports -----------------------------------------------------------
@@ -390,6 +404,34 @@ def test_coordinate_box_quadratic(Zr2):
     assert all(box[i] < box[i + 1] for i in range(len(box) - 1))
 
 
+@pytest.mark.parametrize("spec", ["Z", "Z[1/2]", "Z[1/6]", "Z[1/12]",
+                                  "Z[1/30]", "Z[sqrt(2)]", "Z[sqrt(3),1/6]"])
+def test_box_size_counts_the_box(spec):
+    ring = make_ring(spec)
+    for max_abs, denom_exp in itertools.product(range(7), range(4)):
+        bound = HeightBound(max_abs, denom_exp)
+        assert varieties._box_size(ring, bound, 10**6) == len(
+            coordinate_box(ring, bound)), bound
+
+
+def test_box_size_refuses_from_a_lower_bound(Z, Z_half, Zr2):
+    size = varieties._box_size
+    # exact without inverted primes, denominators or a nonzero MAX
+    assert size(Z, HeightBound(10**6), 10) == 2 * 10**6 + 1
+    assert size(Zr2, HeightBound(2000, 10**8), 10) == 4001**2
+    assert size(Z_half, HeightBound(0, 10**8), 10) == 1
+    assert size(Z_half, HeightBound(7, 0), 10) == 15
+    # (DENOM_EXP+1)^r or (2*MAX+1)^q past the limit
+    assert size(Z_half, HeightBound(1, 10), 10) is None
+    assert size(Z_half, HeightBound(5, 1), 10) is None
+    assert size(make_ring("Z[1/30030]"), HeightBound(1, 1), 63) is None
+    assert size(Z_half, HeightBound(1, 3), 11) == 9  # 0, ±1, ±1/2, ±1/4, ±1/8
+    assert size(Z_half, HeightBound(500, 999999), 10**6) == 500000501
+    # an m that cannot be factored is refused first, even for the box {0}
+    with pytest.raises(ParseError, match="cannot factor"):
+        size(make_ring(f"Z[1/{(10**6 + 3) * (10**6 + 33)}]"), HeightBound(0), 10)
+
+
 def naive_solutions(A, k, shape, bound):
     """Every word of the box whose generator product is A, by brute force:
     no meet in the middle and no word_to_matrix."""
@@ -508,6 +550,13 @@ def test_enumerate_budget(Z, monkeypatch):
     assert [P.entries for P in got] == [(Z.zero,) * 20]
     with pytest.raises(BudgetError):
         enumerate_points_bounded(identity(Z), 22, "lower", HeightBound(0))
+
+
+def test_enumerate_over_zero_with_any_denominators(Z_half):
+    # MAX 0 is the box {0}: no power of 2 is formed for 10^8 denominators
+    got = enumerate_points_bounded(identity(Z_half), 2, "lower",
+                                   HeightBound(0, 10**8))
+    assert [P.entries for P in got] == [(Z_half.zero,) * 2]
 
 
 def test_error_hierarchy():
