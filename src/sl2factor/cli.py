@@ -1,18 +1,18 @@
 """Command-line front end.
 
 Subcommands: factor, verify, orbit, enum, density, units.  Output is
-JSON lines with a fixed key order, so identical inputs and seeds give
-byte-identical output.  Every point printed anywhere is re-verified
-against the factorization equations immediately before printing, by
-the output gate of `varieties`.  Each subcommand accepts only the flags
-it reads (`_COMMANDS`); any other flag exits 1, and
-`sl2factor <subcommand> --help` lists them.
+JSON lines on stdout (redirect it to keep them) with a fixed key order,
+so identical inputs and seeds give byte-identical output.  Every point
+printed anywhere is re-verified against the factorization equations
+immediately before printing, by the output gate of `varieties`.  Each
+subcommand accepts only the flags it reads (`_COMMANDS`); any other
+flag exits 1, and `sl2factor <subcommand> --help` lists them.
 
 Exit codes: 0 success, 1 invalid input, 2 empty result within the given
 bounds, 3 search budget exhausted, 4 internal error.  Codes 2 and 3 are
 deliberately distinct: "no point exists in this box" and "the search
-gave up" are different findings, and a unit search that stalled short
-of the count gave up.  Code 4 reports a fault of the
+gave up" are different findings, and one rule (`_gave_up`) decides the
+latter for `orbit`, `units` and `density`.  Code 4 reports a fault of the
 program, not of the input: a fail-closed check refused a result (a
 point that fails the equations is never printed), a bounded
 computation such as the Pell unit search did not finish, or a
@@ -48,8 +48,13 @@ EXIT_INTERNAL = 4
 DENSITY_BASELINE_MARGIN = 10
 
 
-def _emit(out, obj):
-    out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+def _emit(obj):
+    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def _gave_up(exhausted: bool, stalled, found: int, count: int) -> bool:
+    # the budget ran out, or a stalled unit search left the answer short
+    return exhausted or (bool(stalled) and found < count)
 
 
 def _parse_bound(text: str) -> HeightBound:
@@ -79,8 +84,7 @@ def _euclid_word(A: Mat2, shape: str) -> Word:
     return Word(shape, factor_euclid(shape_target(A, shape)).entries)
 
 
-def cmd_factor(args, out) -> int:
-    ring = make_ring(args.ring)
+def cmd_factor(ring, args) -> int:
     A = _matrix(ring, args)
     if A.det() != 1:
         raise ParseError("factorization targets must have determinant 1")
@@ -96,56 +100,53 @@ def cmd_factor(args, out) -> int:
     else:
         word = _euclid_word(A, args.shape)
     payload = word_to_json(_verified(A, word))
-    _emit(out, {"shape": payload["shape"], "k": word.k,
-                "entries": payload["entries"]})
+    _emit({"shape": payload["shape"], "k": word.k,
+           "entries": payload["entries"]})
     return EXIT_OK
 
 
-def cmd_verify(args, out) -> int:
-    ring = make_ring(args.ring)
+def cmd_verify(ring, args) -> int:
     A = _matrix(ring, args)
     P = _point(ring, args)
     res = membership_residuals(A, P.entries, P.shape)
-    _emit(out, {"member": not any(res),
-                "integral": P.integral,
-                "residuals": [str(x) for x in res]})
+    _emit({"member": not any(res), "integral": P.integral,
+           "residuals": [str(x) for x in res]})
     return EXIT_OK
 
 
-def cmd_orbit(args, out) -> int:
-    ring = make_ring(args.ring)
-    A = _matrix(ring, args)
-    seed = _point(ring, args)
-    run = orbit_run(A, seed, args.count)
-    for rec in run.records:
-        line = word_to_json(_verified(A, rec.point))
-        line["window"] = rec.window
-        line["action"] = rec.action
-        line["parameter"] = None if rec.parameter is None else str(rec.parameter)
-        _emit(out, line)
+def _orbit_exit(run, count: int) -> int:
     if run.stalled:
         print("unit search stalled at moduli: "
               + ", ".join(str(m) for m in run.stalled), file=sys.stderr)
-    # a stalled unit search is a search that gave up when it cut the run short
-    if run.exhausted or (run.stalled and len(run.records) < args.count):
+    if _gave_up(run.exhausted, run.stalled, len(run.records), count):
         print(f"budget exhausted after {len(run.records)} points",
               file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 
 
-def cmd_enum(args, out) -> int:
-    ring = make_ring(args.ring)
+def cmd_orbit(ring, args) -> int:
+    A = _matrix(ring, args)
+    run = orbit_run(A, _point(ring, args), args.count)
+    for rec in run.records:
+        line = word_to_json(_verified(A, rec.point))
+        line["window"] = rec.window
+        line["action"] = rec.action
+        line["parameter"] = None if rec.parameter is None else str(rec.parameter)
+        _emit(line)
+    return _orbit_exit(run, args.count)
+
+
+def cmd_enum(ring, args) -> int:
     A = _matrix(ring, args)
     points = enumerate_points_bounded(A, args.k, args.shape,
                                       _parse_bound(args.bound))
     for P in points:
-        _emit(out, word_to_json(_verified(A, P)))
+        _emit(word_to_json(_verified(A, P)))
     return EXIT_OK if points else EXIT_EMPTY
 
 
-def cmd_density(args, out) -> int:
-    ring = make_ring(args.ring)
+def cmd_density(ring, args) -> int:
     k, degree = args.k, args.degree
     if degree < 1:
         raise ParseError(f"--degree must be at least 1, got {degree}")
@@ -173,25 +174,27 @@ def cmd_density(args, out) -> int:
         if k < 3:
             raise ParseError(f"--k must be at least 3 with --matrix, got {k}")
         seed_point = pad(seed_point, A, k)
-        points = orbit_run(A, seed_point, args.count).points
+        run = orbit_run(A, seed_point, args.count)
+        if _gave_up(run.exhausted, run.stalled, len(run.records), args.count):
+            return _orbit_exit(run, args.count)
+        points = run.points
         # upper and D points of A are lower points of A.prime(), and the
         # baseline samples lower points
         baseline = generic_variety_baseline(
             shape_target(A, seed_point.shape), k, degree,
             comb(k + degree, degree) + DENSITY_BASELINE_MARGIN, args.seed + 1)
-    _emit(out, density_report(points, degree, baseline=baseline))
+    _emit(density_report(points, degree, baseline=baseline))
     return EXIT_OK
 
 
-def cmd_units(args, out) -> int:
-    ring = make_ring(args.ring)
+def cmd_units(ring, args) -> int:
     modulus = ring.parse(args.modulus)
     res = units_congruent_one(ring, modulus, args.count)
-    _emit(out, {"units": [str(u) for u in res.units],
-                "finite_group": res.finite_group,
-                "stalled": [str(g) for g in res.stalled]})
+    _emit({"units": [str(u) for u in res.units],
+           "finite_group": res.finite_group,
+           "stalled": [str(g) for g in res.stalled]})
     # a stall explains a short answer, so it is read before "no units"
-    if len(res.units) < args.count and res.stalled:
+    if _gave_up(False, res.stalled, len(res.units), args.count):
         return EXIT_BUDGET
     return EXIT_OK if res.units else EXIT_EMPTY
 
@@ -221,13 +224,11 @@ _FLAGS = {
         help="pseudorandom seed; fixes all sampled values")),
     "modulus": (["--modulus"], dict(
         help="ring element the units must be congruent to 1 against")),
-    "output": (["--output"], dict(
-        help="write JSON lines here instead of stdout")),
 }
 
-# subcommand -> (function, flags it reads besides --ring! and --output,
-# help); "!" marks a required flag, "?" one that defaults to None so the
-# command can tell whether it was given
+# subcommand -> (function, flags it reads besides --ring!, help); "!"
+# marks a required flag, "?" one that defaults to None so the command
+# can tell whether it was given
 _COMMANDS = {
     "factor": (cmd_factor, "matrix! shape k bound",
                "factor a matrix into an alternating elementary word"),
@@ -253,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, (func, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in ("ring!", *flags.split(), "output"):
+        for flag in ("ring!", *flags.split()):
             names, kwargs = _FLAGS[flag.rstrip("!?")]
             if flag.endswith("?"):
                 kwargs = {**kwargs, "default": None}
@@ -269,15 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else 0
     try:
-        if args.output:
-            try:
-                out = open(args.output, "w")
-            except OSError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return EXIT_INVALID
-            with out:
-                return args.func(args, out)
-        return args.func(args, sys.stdout)
+        return args.func(make_ring(args.ring), args)
     except BudgetError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -242,9 +242,14 @@ class Ring:
         return RElem(self, x, y)
 
     def unit_generators(self) -> tuple[RElem, ...]:
-        """Fixed, ordered generating set of the unit group:
-        fundamental unit first (quadratic rings), then the inverted
-        primes in ascending order, then -1."""
+        """The fundamental unit (quadratic rings), then the inverted
+        rational primes in ascending order, then -1.
+
+        They generate the whole unit group of Z, of Z[1/m] and of
+        Z[sqrt(d)] with no inverted primes.  Otherwise they generate
+        only a subgroup: an inverted prime that splits or ramifies in
+        Z[sqrt(d)] adds units outside it, such as sqrt(2) in
+        Z[sqrt(2),1/2] or 3+sqrt(2) in Z[sqrt(2),1/7]."""
         return self._unit_generators
 
     @cached_property

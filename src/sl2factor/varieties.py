@@ -282,6 +282,17 @@ def _box_size(ring: Ring, bound: HeightBound, limit: int) -> int | None:
                    for t, s in sets)
 
 
+def _count_text(n: int | None, cap: int) -> str:
+    """n in decimal, or "more than cap" when the box was not counted
+    (None) or its count is too long for Python's int-to-str limit."""
+    if n is not None:
+        try:
+            return str(n)
+        except ValueError:
+            pass
+    return f"more than {cap}"
+
+
 def _fields(m: tuple) -> tuple[int, ...]:
     # RElem fields are canonical: equal keys are equal matrices
     a, c, b, d = m
@@ -343,12 +354,10 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str,
     cap = ENUM_HALF_CAP
     # a half of e >= 1 letters over more than cap values exceeds the cap
     n = _box_size(ring, bound, cap)
-    if n is None:
-        raise BudgetError(f"more than {cap}^{e} half-words of {e} letters "
-                          f"exceed the cap")
     # with n >= 2, n^e > cap once e exceeds its bit length
-    if (n > 1 and e > cap.bit_length()) or e * n**e > cap:
-        raise BudgetError(f"{n}^{e} half-words of {e} letters exceed the cap")
+    if n is None or (n > 1 and e > cap.bit_length()) or e * n**e > cap:
+        raise BudgetError(f"{_count_text(n, cap)}^{e} half-words of {e} "
+                          f"letters exceed the cap")
     box = coordinate_box(ring, bound)
 
     one, zero = ring.one, ring.zero

@@ -27,6 +27,7 @@ from sl2factor import (
     fiber_lift,
     identity,
     make_ring,
+    orbit_run,
     pad,
     reverse_point,
     solve_k3,
@@ -212,6 +213,34 @@ def test_fiber_lift_reproduces_points(rng, Z, Zr2):
             assert P is not None
             assert P.entries[3:] == xs[3:]
             assert vk_membership(A, P.entries)
+
+
+@st.composite
+def fibration_cases(draw):
+    """A matrix from a drawn integral word of length k = 4..7, that word
+    as an orbit seed, and a drawn tail of k - 3 ring elements."""
+    ring = make_ring(draw(st.sampled_from(["Z", "Z[1/6]", "Z[sqrt(2)]"])))
+    k = draw(st.integers(4, 7))
+    w = st.integers(-1, 1) if ring.is_quadratic else st.just(0)
+    seed = tuple(ring.el(draw(st.integers(-2, 2)), draw(w)) for _ in range(k))
+    denom = st.sampled_from((1, 2, 3, 6) if ring.inverted_primes else (1,))
+    tail = tuple(ring.el(draw(st.integers(-3, 3)), draw(w), draw(denom))
+                 for _ in range(k - 3))
+    return word_to_matrix(Word("lower", seed), ring=ring), seed, tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(fibration_cases())
+def test_tail_projection_inverts_fiber_lift(case):
+    # V_k(A) fibres over its tails (x4, ..., xk): fiber_lift is a section
+    # of that projection, and on the generic fibres (x2 != 0) it is the
+    # projection's inverse
+    A, seed, tail = case
+    for P in orbit_run(A, Word("lower", seed), 12).points:
+        if P.entries[1] != 0:
+            assert fiber_lift(A, P.entries[3:]) == P
+    Q = fiber_lift(A, tail)
+    assert Q is None or Q.entries[3:] == tail
 
 
 def mat2_peel_lift(A, tail):
