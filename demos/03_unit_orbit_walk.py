@@ -24,7 +24,7 @@ def main():
 
     a = window_modulus(seed, 1)
     print(f"seed {seed}, window modulus {a}")
-    found = units_congruent_one(R, a, 4)
+    found = units_congruent_one(a, 4)
     print(f"units = 1 mod {a}: {[str(u) for u in found.units]}")
     print()
 

@@ -15,8 +15,8 @@ from .continuants import (continuant, membership_residuals, vk_membership,
 from .density import (density_report, generic_variety_baseline,
                       monomial_exponents, monomial_matrix, vanishing_basis,
                       vanishing_space_dim)
-from .matrices import (WORD_SHAPES, Mat2, Word, elem, identity, involution,
-                       letter_kind, matrix_from_json, matrix_to_json, t_matrix,
+from .matrices import (WORD_SHAPES, Mat2, Word, elem, identity, letter_kind,
+                       matrix_from_json, matrix_to_json, t_matrix,
                        word_from_json, word_to_json, word_to_matrix)
 from .orbits import a1_families, act_a0, act_v, orbit_run, window_modulus
 from .rings import (ParseError, RElem, Ring, RingMismatchError, make_ring,
@@ -33,7 +33,7 @@ __all__ = [
     "a1_families", "act_a0", "act_v", "continuant", "convert_shape",
     "coordinate_box", "density_report", "elem", "enumerate_points_bounded",
     "factor_euclid", "fiber_lift", "generic_variety_baseline", "identity",
-    "involution", "letter_kind", "make_ring", "matrix_from_json",
+    "letter_kind", "make_ring", "matrix_from_json",
     "matrix_to_json", "membership_residuals",
     "monomial_exponents", "monomial_matrix", "orbit_run",
     "pad", "reverse_point", "solve_k3", "t_matrix", "units_congruent_one",

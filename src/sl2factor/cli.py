@@ -86,8 +86,6 @@ def _euclid_word(A: Mat2, shape: str) -> Word:
 
 def cmd_factor(ring, args) -> int:
     A = _matrix(ring, args)
-    if A.det() != 1:
-        raise ParseError("factorization targets must have determinant 1")
     if args.k is not None or args.bound is not None:
         if args.k is None or args.bound is None:
             raise ParseError("bounded search needs both --k and --bound")
@@ -189,9 +187,9 @@ def cmd_density(ring, args) -> int:
 
 def cmd_units(ring, args) -> int:
     modulus = ring.parse(args.modulus)
-    res = units_congruent_one(ring, modulus, args.count)
+    res = units_congruent_one(modulus, args.count)
     _emit({"units": [str(u) for u in res.units],
-           "finite_group": res.finite_group,
+           "finite_group": not ring.has_infinite_units,
            "stalled": [str(g) for g in res.stalled]})
     # a stall explains a short answer, so it is read before "no units"
     if _gave_up(False, res.stalled, len(res.units), args.count):

@@ -87,8 +87,6 @@ def _against_target(A: Mat2, xs: Sequence[RElem], shape: str):
     """Entries, a c b d order, of the target of the shape's equations for
     A (A.prime() for upper-start and D-type tuples), then the common
     denominator and the cleared word matrix of xs."""
-    if A.det() != 1:
-        raise ValueError("membership target must have determinant 1")
     T = shape_target(A, shape)
     return (T.a, T.c, T.b, T.d), *_cleared_matrix(A.ring, xs)
 

@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .matrices import Word
 from .rings import RElem, Ring, _is_prime, _numerators
-from .varieties import fiber_lift
+from .varieties import _verified, fiber_lift, solve_k3
 
 BASELINE_TAIL_SPAN = 40
 # the prime search walks down from 2^61 - 1 through p = 3 mod 4, where
@@ -401,11 +401,22 @@ def density_report(points: Sequence, degree: int, *, baseline: int = 0) -> dict:
 def generic_variety_baseline(A, k: int, degree: int, count: int, seed: int) -> int:
     """Baseline nullity from pseudorandom field-valued points of the
     length-k factorization variety, sampled by lifting random integer
-    tails through the length-3 fibration."""
+    tails through the length-3 fibration.  At k = 3 the variety is the
+    core itself, a point, a line or empty: a line is sampled at random
+    integer parameters, and an empty one is a ValueError."""
     if k < 3:
         raise ValueError(f"the fibration needs k >= 3, got {k}")
     rng = random.Random(seed)
     ring = A.ring
+    if k == 3:
+        core = solve_k3(A)
+        if core.kind == "empty":
+            raise ValueError(f"no length-3 word multiplies to {A}")
+        if core.kind == "family":
+            ts = (rng.randint(-BASELINE_TAIL_SPAN, BASELINE_TAIL_SPAN)
+                  for _ in range(count))
+            return vanishing_space_dim(
+                [_verified(A, core.family_point(ring.el(t))) for t in ts], degree)
     pts = []
     attempts = 0
     while len(pts) < count:

@@ -1,5 +1,5 @@
-"""Unimodular 2x2 matrices, elementary generators, entry involutions, and
-alternating-word evaluation.
+"""Unimodular 2x2 matrices, elementary generators, and alternating-word
+evaluation.
 
 Entry layout, used verbatim everywhere (constructor order, JSON keys,
 docstrings):
@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from .rings import ParseError, RElem, Ring, RingMismatchError
 
 WORD_SHAPES = ("lower", "upper", "D")
-
-INVOLUTIONS = ("prime", "transpose", "star")
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,6 @@ class Mat2:
         return f"({self.a} {self.c}; {self.b} {self.d})"
 
 
-def involution(A: Mat2, which: str) -> Mat2:
-    if which not in INVOLUTIONS:
-        raise ValueError(f"unknown involution {which!r}")
-    return getattr(A, which)()
-
-
 def identity(ring: Ring) -> Mat2:
     one, zero = ring.one, ring.zero
     return Mat2(one, zero, zero, one)
@@ -148,7 +140,9 @@ def letter_kind(shape: str, position: int) -> str:
 def shape_target(A: Mat2, shape: str) -> Mat2:
     """Matrix whose lower-start equations a tuple of the given shape must
     solve: A itself for lower-start words, A.prime() for upper-start and
-    D-type words."""
+    D-type words.  Every target passes this one determinant-1 gate."""
+    if A.det() != 1:
+        raise ValueError("target matrix must have determinant 1")
     if shape not in WORD_SHAPES:
         raise ValueError(f"unknown word shape {shape!r}")
     return A if shape == "lower" else A.prime()

@@ -194,7 +194,7 @@ def orbit_run(A: Mat2, seed: Word, n: int, *,
             a = window_modulus(P, i)
             moves = moves_for.get(a)
             if moves is None:
-                found = units_congruent_one(ring, a, units_per_window)
+                found = units_congruent_one(a, units_per_window)
                 if found.stalled:
                     stalled.append(a)
                 moves = moves_for[a] = [("unit", v, _unit_step(a, v))

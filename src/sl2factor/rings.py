@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, total_ordering
+from functools import cached_property, total_ordering
 from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence
 
@@ -502,7 +502,6 @@ def _numerators(ring: Ring, xs: Sequence[RElem]
     return R, [(x.a * (R // x.r), x.b * (R // x.r)) for x in xs]
 
 
-@lru_cache(maxsize=64)  # bounded: d comes from user ring specs
 def _pell_min_unit(d: int) -> tuple[int, int]:
     """Smallest (x, y) with y >= 1 and x^2 - d*y^2 = 1 or -1, from the
     continued fraction expansion of sqrt(d).
@@ -528,26 +527,23 @@ def _pell_min_unit(d: int) -> tuple[int, int]:
 
 
 class UnitsResult(NamedTuple):
-    """Outcome of a search for units congruent to 1.
-
-    finite_group means the ring's unit group is finite and `units` is
-    exhaustive; `stalled` lists generators whose multiplicative order in
-    the quotient was not found within the step cap.
-    """
+    """Outcome of a search for units congruent to 1.  `stalled` lists
+    generators whose order in the quotient passed the step cap; over a
+    ring without `has_infinite_units`, `units` is exhaustive."""
 
     units: tuple[RElem, ...]
-    finite_group: bool
     stalled: tuple[RElem, ...]
 
 
-def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
+def units_congruent_one(modulus: RElem, count: int) -> UnitsResult:
     """Up to `count` distinct units v != 1 with v congruent to 1 mod `modulus`.
 
     Units come out as powers g**(j*order) of the fixed generator set,
     where order is the multiplicative order of g in the quotient by the
     modulus, found by `_order_finder` within ORDER_SEARCH_CAP steps (the
-    module value at call time).
+    module value at call time), in the ring of the modulus.
     """
+    ring = modulus.ring
     if not modulus:
         raise ZeroDivisionError("zero modulus")
     if not modulus.is_integral():
@@ -555,7 +551,7 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
     if count < 0:
         raise ValueError("count must be >= 0")
     one = ring.one
-    order_of = _order_finder(ring, modulus)
+    order_of = _order_finder(modulus)
 
     orders: dict[RElem, int] = {}
     stalled: list[RElem] = []
@@ -583,11 +579,10 @@ def units_congruent_one(ring: Ring, modulus: RElem, count: int) -> UnitsResult:
         if not can_grow:
             break
         j += 1
-    return UnitsResult(tuple(units), not ring.has_infinite_units,
-                       tuple(stalled))
+    return UnitsResult(tuple(units), tuple(stalled))
 
 
-def _order_finder(ring: Ring, modulus: RElem):
+def _order_finder(modulus: RElem):
     """Return a function giving the multiplicative order of a unit
     generator (a + b*w with integer a, b) in the quotient by `modulus`,
     or None when it exceeds ORDER_SEARCH_CAP.
@@ -598,10 +593,10 @@ def _order_finder(ring: Ring, modulus: RElem):
     the ideal exactly when n divides both coordinates of
     (x - 1)*(a - b*w).  Rational rings are the case d = b = 0.
     """
-    d = ring.d or 0
+    d = modulus.ring.d or 0
     c = gcd(modulus.a, modulus.b)
     a, b = modulus.a // c, modulus.b // c
-    n = _strip_part(c * (a * a - d * b * b), ring.m)
+    n = _strip_part(c * (a * a - d * b * b), modulus.ring.m)
     cap = ORDER_SEARCH_CAP
 
     def order_of(g: RElem):

@@ -7,10 +7,10 @@ the continuant equations through two gates, the package's only callers
 of `vk_membership` outside `continuants`.  `_require_member` checks a
 point handed in by the caller and raises `MembershipError` (invalid
 input).  `_verified` checks every point the package makes, here and in
-`orbits` and the CLI, and raises `AssertionError` (a fault of the
-program), so a constructed point is always a verified one.  The box
-search and the fiber peel multiply words out through one letter step,
-not a `Mat2` per letter.
+`orbits`, `density` and the CLI, and raises `AssertionError` (a fault
+of the program), so a constructed point is always a verified one.
+The box search and the fiber peel multiply words out through one letter
+step, not a `Mat2` per letter.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ def factor_euclid(A: Mat2) -> Word:
     for e in (A.a, A.c, A.b, A.d):
         if e.b != 0 or e.r != 1:
             raise ValueError("factor_euclid needs rational integer entries")
-    if A.det() != 1:
-        raise ValueError("factor_euclid needs determinant 1")
+    shape_target(A, "lower")
     a, c, b, d = A.a.a, A.c.a, A.b.a, A.d.a
 
     letters: list[int] = []  # kinds are implied: L at even index, U at odd
@@ -147,8 +146,7 @@ def solve_k3(A: Mat2) -> K3Solution:
     c != 0 forces the single point ((d-1)/c, c, (a-1)/c) over the field;
     c = 0 leaves either nothing (a != 1) or the family (b - t, 0, t).
     """
-    if A.det() != 1:
-        raise ValueError("solve_k3 needs determinant 1")
+    shape_target(A, "lower")
     if A.c:
         return K3Solution("unique", _verified(A, Word(
             "lower", ((A.d - 1) / A.c, A.c, (A.a - 1) / A.c))))
@@ -195,8 +193,8 @@ def pad(P: Word, A: Mat2, k_new: int) -> Word:
 def convert_shape(P: Word, A: Mat2) -> tuple[Mat2, Word]:
     """Reread a lower-start point as an upper-start point.
 
-    The same entries solve the upper-start equations for the half-turn
-    involution of A (and the D-type equations for that same matrix).
+    The same entries solve the upper-start equations for the half turn
+    A.prime() of A (and the D-type equations for that same matrix).
     """
     if P.shape != "lower":
         raise ValueError("convert_shape starts from a lower-start point")
@@ -340,12 +338,10 @@ def enumerate_points_bounded(A: Mat2, k: int, shape: str,
     the output gate, so a refused recheck is an AssertionError, never a
     dropped point.
     """
-    if A.det() != 1:
-        raise ValueError("enumeration target must have determinant 1")
+    target = shape_target(A, shape)
     if k < 0:
         raise ValueError("k must be >= 0")
     ring = A.ring
-    target = shape_target(A, shape)
     if k == 0:
         ok = target == identity(ring)
         return [Word(shape, ())] if ok else []

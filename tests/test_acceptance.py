@@ -26,7 +26,6 @@ from sl2factor import (
     generic_variety_baseline,
     HeightBound,
     identity,
-    involution,
     make_ring,
     orbit_run,
     pad,
@@ -160,7 +159,7 @@ def test_criterion_06():
                 alpha = window_modulus(P, 1)
                 if not alpha or alpha.is_unit():
                     continue
-                found = units_congruent_one(ring, alpha, 3)
+                found = units_congruent_one(alpha, 3)
                 assert len(found.units) == 3 and not found.stalled
                 A = word_to_matrix(Word("lower", xs))
                 for v in found.units:

@@ -88,6 +88,22 @@ def test_factor_rejects_det_minus_one(capsys):
     assert code == 1 and not lines and "determinant" in err
 
 
+DET_MINUS_ONE = '{"a":"0","c":"1","b":"1","d":"0"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor"], ["enum", "--k", "3", "--bound", "1"],
+    ["verify", "--point", '["1","1","1"]'],
+    ["orbit", "--point", '["1","1","1","1"]'],
+    ["density", "--k", "4"], ["density", "--k", "4", "--shape", "upper"],
+], ids=["factor", "enum", "verify", "orbit", "density", "density-upper"])
+def test_det_minus_one_target_has_one_message(capsys, argv):
+    code, lines, err = run(capsys, *argv, "--ring", "Z",
+                           "--matrix", DET_MINUS_ONE)
+    assert code == 1 and not lines
+    assert err == "error: target matrix must have determinant 1\n"
+
+
 def test_factor_bounded_search(capsys):
     code, lines, _ = run(capsys, "factor", "--ring", "Z",
                          "--matrix", '{"a":"2","c":"1","b":"1","d":"1"}',
@@ -608,6 +624,16 @@ def test_density_matrix_mode_rejects_k_below_three(capsys, no_density_work, seed
     assert code == 1 and not lines
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--k must be at least 3 with --matrix, got 2" in err
+
+
+def test_density_matrix_mode_k3_line(capsys):
+    # V_3(I) is the line (-t, 0, t); the baseline samples that line, so
+    # the one seed point is not dense in it
+    code, lines, _ = run(capsys, "density", "--ring", "Z[1/2]", "--matrix",
+                         IDENTITY, "--k", "3", "-n", "5")
+    assert code == 0 and lines == [
+        {"k": 3, "D": 2, "monomials": 10, "points": 1, "nullity": 9,
+         "baseline": 7, "dense_at_D": False}]
 
 
 def test_density_matrix_mode_k3(capsys):

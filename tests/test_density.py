@@ -566,6 +566,18 @@ def test_generic_baseline_needs_k3(Z):
     assert generic_variety_baseline(A, 3, 2, 5, 0) == 9
 
 
+def test_generic_baseline_k3_line_and_empty(Z_half):
+    # V_3(I) is the line (-t, 0, t): its degree <= 2 vanishing space has
+    # the 10 - 3 = 7 dimensions of the ideal (x2, x1 + x3), not the 9 of
+    # one point
+    I = Mat2(Z_half.el(1), Z_half.el(0), Z_half.el(0), Z_half.el(1))
+    assert generic_variety_baseline(I, 3, 2, 20, 1) == 7
+    # c = 0 and a != 1: no length-3 word, whatever the sampling
+    A = Mat2(Z_half.el(2), Z_half.el(0), Z_half.el(0), Z_half.el(1, 0, 2))
+    with pytest.raises(ValueError, match="no length-3 word"):
+        generic_variety_baseline(A, 3, 2, 5, 0)
+
+
 def test_random_unit_points(Z_half):
     pts = random_unit_points(Z_half, 3, 5, 7)
     assert pts == random_unit_points(Z_half, 3, 5, 7)

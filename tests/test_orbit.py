@@ -402,7 +402,7 @@ def package_cache_sizes() -> dict[str, int]:
 def test_orbit_run_leaves_package_caches_alone(Z_half):
     # unit searches are shared within one run, not kept for the process
     before = package_cache_sizes()
-    assert before  # the scan finds the caches that remain
+    assert before == {}  # the package keeps no process-wide cache
     for j in range(1, 6):
         seed = pt(Z_half, 1, j, 1, 1)
         A = word_to_matrix(seed)

@@ -14,7 +14,6 @@ from sl2factor import (
     Word,
     elem,
     identity,
-    involution,
     letter_kind,
     matrix_from_json,
     matrix_to_json,
@@ -127,14 +126,6 @@ def test_transpose_swaps_off_diagonal(Z):
     assert A.prime().transpose() == A.star()
 
 
-def test_involution_dispatch(Z):
-    A = mat(Z, 2, 3, 3, 5)
-    assert involution(A, "prime") == A.prime()
-    assert involution(A, "star") == A.star()
-    with pytest.raises(ValueError):
-        involution(A, "flip")
-
-
 def klein_holds(A: Mat2) -> bool:
     return (
         A.prime().transpose() == A.star()
@@ -152,8 +143,8 @@ def test_klein_relations_random(rng, Z, Zr2):
             A = rand_matrix(rng, ring)
             assert klein_holds(A)
             assert klein_holds(A @ t_matrix(ring))  # det -1 side too
-            for which in ("prime", "transpose", "star"):
-                assert involution(involution(A, which), which) == A
+            assert A.prime().prime() == A.transpose().transpose() == A
+            assert A.star().star() == A
 
 
 # -- words --------------------------------------------------------------
