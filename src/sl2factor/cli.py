@@ -86,17 +86,7 @@ def _euclid_word(A: Mat2, shape: str) -> Word:
 
 def cmd_factor(ring, args) -> int:
     A = _matrix(ring, args)
-    if args.k is not None or args.bound is not None:
-        if args.k is None or args.bound is None:
-            raise ParseError("bounded search needs both --k and --bound")
-        points = enumerate_points_bounded(A, args.k, args.shape,
-                                          _parse_bound(args.bound))
-        if not points:
-            print("no factorization within the given bounds", file=sys.stderr)
-            return EXIT_EMPTY
-        word = points[0]
-    else:
-        word = _euclid_word(A, args.shape)
+    word = _euclid_word(A, args.shape)
     payload = word_to_json(_verified(A, word))
     _emit({"shape": payload["shape"], "k": word.k,
            "entries": payload["entries"]})
@@ -228,7 +218,7 @@ _FLAGS = {
 # marks a required flag, "?" one that defaults to None so the command
 # can tell whether it was given
 _COMMANDS = {
-    "factor": (cmd_factor, "matrix! shape k bound",
+    "factor": (cmd_factor, "matrix! shape",
                "factor a matrix into an alternating elementary word"),
     "verify": (cmd_verify, "matrix! point! shape",
                "check a point against the factorization equations"),
@@ -271,6 +261,9 @@ def main(argv=None) -> int:
         return args.func(make_ring(args.ring), args)
     except BudgetError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget exhausted: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)

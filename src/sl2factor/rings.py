@@ -200,13 +200,6 @@ class Ring:
     def one(self) -> RElem:
         return _normal(self, 1, 0, 1)
 
-    @property
-    def root(self) -> RElem:
-        """The element sqrt(d)."""
-        if not self.is_quadratic:
-            raise ValueError("root requires a quadratic ring")
-        return RElem(self, 0, 1)
-
     def el(self, a, b: int = 0, r: int = 1) -> RElem:
         if isinstance(a, RElem):
             if a.ring != self:

@@ -104,28 +104,6 @@ def test_det_minus_one_target_has_one_message(capsys, argv):
     assert err == "error: target matrix must have determinant 1\n"
 
 
-def test_factor_bounded_search(capsys):
-    code, lines, _ = run(capsys, "factor", "--ring", "Z",
-                         "--matrix", '{"a":"2","c":"1","b":"1","d":"1"}',
-                         "--k", "3", "--bound", "2")
-    assert code == 0
-    assert lines[0]["entries"] == ["0", "1", "1"]
-
-
-def test_factor_bounded_search_empty(capsys):
-    code, lines, err = run(capsys, "factor", "--ring", "Z",
-                           "--matrix", '{"a":"1","c":"5","b":"0","d":"1"}',
-                           "--k", "1", "--bound", "2")
-    assert code == 2 and not lines
-    assert "no factorization" in err
-
-
-def test_factor_bounded_needs_both_flags(capsys):
-    code, _, err = run(capsys, "factor", "--ring", "Z", "--matrix", A_2335,
-                       "--k", "3")
-    assert code == 1 and "both" in err
-
-
 # -- verify -------------------------------------------------------------------
 
 
@@ -416,10 +394,10 @@ def test_enum_long_word_over_one_letter(capsys):
 
 
 # box searches whose stdout and exit codes are pinned by one sha256, taken
-# on the Mat2-per-letter enumeration before the letter-step walk replaced it
+# on the code before `factor` lost its box mode
 GOLDEN_BOX_SEARCHES = [
     ["enum", "--ring", "Z", "--matrix", IDENTITY, "--k", "3", "--bound", "2"],
-    ["factor", "--ring", "Z", "--matrix", '{"a":"2","c":"1","b":"1","d":"1"}',
+    ["enum", "--ring", "Z", "--matrix", '{"a":"2","c":"1","b":"1","d":"1"}',
      "--k", "3", "--bound", "2"],
     ["enum", "--ring", "Z[1/2]", "--matrix", A_2335, "--k", "4",
      "--bound", "1,1"],
@@ -439,14 +417,14 @@ GOLDEN_BOX_SEARCHES = [
     ["enum", "--ring", "Z", "--matrix", '{"a":"-1","c":"0","b":"0","d":"-1"}',
      "--k", "3", "--bound", "2"],
     ["enum", "--ring", "Z", "--matrix", IDENTITY, "--k", "12", "--bound", "20"],
-    ["factor", "--ring", "Z[1/2]", "--matrix", A_2335, "--k", "4",
+    ["enum", "--ring", "Z[1/2]", "--matrix", A_2335, "--k", "4",
      "--bound", "1,1", "--shape", "upper"],
-    ["factor", "--ring", "Z", "--matrix", A_2335, "--k", "2", "--bound", "3"],
-    ["factor", "--ring", "Z", "--matrix", A_2335, "--k", "5", "--bound", "2",
+    ["enum", "--ring", "Z", "--matrix", A_2335, "--k", "2", "--bound", "3"],
+    ["enum", "--ring", "Z", "--matrix", A_2335, "--k", "5", "--bound", "2",
      "--shape", "D"],
 ]
 GOLDEN_BOX_SHA256 = (
-    "7fd667e350fd651e238ccea5617c9ef613a2c311edcbc8da4587cd7e51a34ac6")
+    "33b412deb89d367f672207d479dce73c8189fef5d5d56f11997071cdffa7b486")
 
 
 def test_box_searches_are_pinned(capsys):
@@ -645,6 +623,22 @@ def test_density_matrix_mode_k3(capsys):
          "baseline": 9, "dense_at_D": True}]
 
 
+def test_density_out_of_memory_exits_3():
+    # C(49, 40), about 2*10^9 monomials, cannot be listed in 256 MiB of
+    # address space: the MemoryError ends in one stderr line, not a traceback
+    resource = pytest.importorskip("resource")
+    limit = 256 * 2**20
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cmd = [sys.executable, "-m", "sl2factor.cli", "density", "--ring",
+           "Z[1/2]", "--k", "9", "--degree", "40", "-n", "1"]
+    done = subprocess.run(
+        cmd, capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "budget exhausted: out of memory\n")
+
+
 # -- units ------------------------------------------------------------------------
 
 
@@ -723,9 +717,9 @@ README_CLI = [
       '{"a":"2","c":"3","b":"3","d":"5"}'],
      '{"shape":"lower","k":5,"entries":["1","2","-1","-1","1"]}\n',
      0),
-    (['factor', '--ring', 'Z', '--matrix',
+    (['enum', '--ring', 'Z', '--matrix',
       '{"a":"2","c":"1","b":"1","d":"1"}', '--k', '3', '--bound', '2'],
-     '{"shape":"lower","k":3,"entries":["0","1","1"]}\n',
+     '{"shape":"lower","entries":["0","1","1"],"integral":true}\n',
      0),
     (['verify', '--ring', 'Z', '--matrix',
       '{"a":"2","c":"3","b":"3","d":"5"}', '--point', '["1","1","1","1"]'],
@@ -1021,7 +1015,7 @@ FLAG_VALUES = {
 # subcommand -> (a valid invocation, the flags it reads; "!" marks required)
 FLAG_TABLE = {
     "factor": (["--ring", "Z", "--matrix", A_2335],
-               "--ring! --matrix! --shape --k --bound"),
+               "--ring! --matrix! --shape"),
     "verify": (["--ring", "Z", "--matrix", IDENTITY, "--point", "[]"],
                "--ring! --matrix! --point! --shape"),
     "orbit": (["--ring", "Z[1/2]", "--matrix", A_2335,
@@ -1062,7 +1056,7 @@ def test_subcommands_accept_only_their_flags(capsys):
         assert listed == accepted, sub
         assert ("-n COUNT" in text) == ("--count" in accepted), sub
         pairs += len(listed)
-    assert pairs == 30
+    assert pairs == 28
 
 
 def test_module_entrypoint_exit_codes():

@@ -215,7 +215,7 @@ def test_kernel_bad_prime_is_exact(spec):
     ring = make_ring(spec)
     p = certified_kernel([[ring.one]], 1).prime
     assert p.bit_length() == 61
-    w = ring.root if ring.is_quadratic else ring.el(2)
+    w = ring.el(0, 1) if ring.is_quadratic else ring.el(2)
     # column 0 is divisible by p, so its pivot vanishes mod p: the rank
     # drops from 3 to 2 there and the lifted kernel fails verification
     rows = [[ring.el(p) * (w + 1), ring.el(1), w, ring.el(3)],
@@ -361,7 +361,7 @@ def test_rref_mod_p_fullest_slots(p, ncols):
 def test_kernel_fast_paths(Z, Zr2):
     full = certified_kernel([[Z.el(1), Z.el(2)], [Z.el(3), Z.el(4)]], 2)
     assert (full.rank, full.method, full.basis) == (2, "modular", [])
-    w = Zr2.root
+    w = Zr2.el(0, 1)
     got = assert_kernel_matches_gauss([[Zr2.one, w, w + 1]], 3)
     assert got.method == "lifted"
     assert [[str(x) for x in vec] for vec in got.basis] == [
@@ -495,7 +495,7 @@ def test_quadratic_ring_points(Zr2):
 def test_quadratic_basis_pinned(Zr2_half):
     # reduced-row-echelon bases as the exact elimination gave them
     R = Zr2_half
-    w, half = R.root, R.el(1, 0, 2)
+    w, half = R.el(0, 1), R.el(1, 0, 2)
     line = [(R.el(t), w * t + half, R.el(1, 1, 2) * t - 3) for t in (1, 2, 3, -1)]
     basis, exps = vanishing_basis(line, 1)
     assert exps == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]

@@ -350,7 +350,7 @@ def test_cross_ring_mixing_rejected(Z, Z_half):
 
 
 def test_exact_order_of_quadratic_elements(Zr2):
-    w = Zr2.root
+    w = Zr2.el(0, 1)
     # sqrt(2) sits strictly between 1.414 and 1.415
     assert Zr2.el(1414, 0, 1000) < w < Zr2.el(1415, 0, 1000)
     assert Zr2.el(0) < w
